@@ -49,14 +49,19 @@ def update_bench(sections: dict) -> None:
     Benchmarks own disjoint sections of the JSON (the hot-path timings,
     the fault-tolerance sweep, ...), so each writer merges over what is
     already on disk instead of clobbering the other benchmarks' data.
+    An unreadable file raises rather than being replaced, since
+    rewriting it would drop every other benchmark's sections.
     """
     report: dict = {}
     if os.path.exists(BENCH_PATH):
         with open(BENCH_PATH) as handle:
             try:
                 report = json.load(handle)
-            except ValueError:
-                report = {}  # corrupt file: rewrite from scratch
+            except ValueError as exc:
+                raise ValueError(
+                    f"{os.path.abspath(BENCH_PATH)} is not valid JSON ({exc}); "
+                    "repair or remove it before re-running the benchmark"
+                ) from exc
     report.update(sections)
     with open(BENCH_PATH, "w") as handle:
         json.dump(report, handle, indent=2)

@@ -19,13 +19,10 @@ Times the four layers the fused/vectorized refactors target —
   federated-round workloads at float32 vs float64 kernels
   (``nn.use_compute_dtype``), with the measured segment-accuracy and
   log-probability drift recorded next to the speedups,
-* the array-backend seam: the ``call_kernel`` dispatch overhead (gated
-  < 2%) and the workspace backend's buffer-reusing kernels vs the
-  reference on the epoch and packed-decode hot paths (``numba`` legs
-  recorded only when that backend registered),
+* the ``call_kernel`` dispatch overhead (gated < 2%),
 
-and writes the measurements (plus a ``meta`` provenance block: backend,
-numpy/BLAS, cpu count, compute dtype) to ``BENCH_hotpath.json`` at the
+and writes the measurements (plus a ``meta`` provenance block: numpy/
+BLAS, cpu count, compute dtype) to ``BENCH_hotpath.json`` at the
 repo root
 so future PRs can track the speed trajectory.  The parallel speedup
 assertion only fires on machines with >= 4 usable cores (the pool
@@ -469,26 +466,13 @@ def _time_compute_dtype() -> dict:
 
 
 def _time_backend() -> dict:
-    """Array-backend seam: dispatch overhead + workspace vs reference.
+    """The ``call_kernel`` dispatch overhead.
 
-    Three measurements:
-
-    * **dispatch overhead** — one fused GRU scan forward called directly
-      vs through :func:`repro.nn.call_kernel` under the reference
-      backend (which has no registered impl, so the seam's only cost is
-      the lookup + fallback).  Gated < 2%: the seam must be free.
-    * **epoch** — the fused local training epoch per backend; the
-      workspace backend reuses pooled ``out=`` scratch across scan
-      steps instead of re-allocating per step.
-    * **decode** — the packed ragged-workload decode per backend; the
-      workspace backend adds the precomputed sparse mask step-plan and
-      the buffered ST decode step.
-
-    The workspace results are asserted bitwise identical to reference
-    (same ops, same order — only the allocations change); ``numba``
-    legs are recorded only when that backend registered.
+    One fused GRU scan forward called directly vs through
+    :func:`repro.nn.call_kernel`.  Gated < 2%: the named call point
+    tracers wrap must be free.
     """
-    from repro.nn.backend import call_kernel
+    from repro.nn.kernels import call_kernel
     from repro.nn.recurrent import _gru_forward_ref
 
     rng = np.random.default_rng(0)
@@ -498,71 +482,14 @@ def _time_backend() -> dict:
                  np.zeros((b, hidden)),
                  rng.standard_normal((hidden, 2 * hidden)) * 0.1,
                  rng.standard_normal((hidden, hidden)) * 0.1, None)
-    with nn.use_backend("reference"):
-        _gru_forward_ref(*scan_args)  # warm
-        direct = _best_of(lambda: _gru_forward_ref(*scan_args))
-        dispatched = _best_of(lambda: call_kernel(
-            "gru_scan_forward", _gru_forward_ref, *scan_args))
-    dispatch_overhead = dispatched / direct - 1.0
-
-    world, dataset = _world()
-    config = _model_config(world, dataset)
-    trimmed = [
-        MatchedTrajectory(t.traj_id, t.driver_id, t.epsilon,
-                          t.points[:DECODE_LENGTHS[i % len(DECODE_LENGTHS)]])
-        for i, t in enumerate(world.matched)
-    ]
-    ragged = TrajectoryDataset.from_matched(trimmed, world.grid,
-                                            world.network, keep_ratio=0.25)
-
-    backends = [name for name in ("reference", "workspace", "numba")
-                if name in nn.available_backends()]
-    legs: dict[str, dict] = {}
-    flats: dict[str, np.ndarray] = {}
-    decodes: dict[str, object] = {}
-    for name in backends:
-        with nn.use_backend(name):
-            model = LTEModel(config, np.random.default_rng(3))
-            mask_builder = ConstraintMaskBuilder(world.network, radius=500.0)
-            optimizer = nn.Adam(model.parameters(), lr=1e-3)
-            rng_e = np.random.default_rng(4)
-            epoch = lambda: _run_epoch(model, dataset, mask_builder,
-                                       optimizer, nn.clip_grad_norm, rng_e)
-            epoch()  # warm caches (collation, mask pools, scratch)
-            epoch_seconds = _best_of(epoch, repeats=5)
-            flats[name] = np.concatenate(
-                [p.data.ravel() for p in model.parameters()])
-
-            decode_model_ = LTEModel(config, np.random.default_rng(11))
-            decode_model_.eval()
-            batch = ragged.full_batch()
-            log_mask = mask_builder.build_for(batch, decode_model_)
-
-            def run_decode():
-                with nn.no_grad():
-                    return decode_model(decode_model_, batch, log_mask)
-
-            decodes[name] = run_decode()
-            legs[name] = {"epoch": epoch_seconds,
-                          "decode": _best_of(run_decode)}
-
-    # The workspace backend re-runs the same float ops in the same
-    # order: everything must match reference bit for bit.
-    np.testing.assert_array_equal(flats["workspace"], flats["reference"])
-    np.testing.assert_array_equal(decodes["workspace"].segments,
-                                  decodes["reference"].segments)
-    np.testing.assert_array_equal(decodes["workspace"].log_probs.data,
-                                  decodes["reference"].log_probs.data)
-
+    _gru_forward_ref(*scan_args)  # warm
+    direct = _best_of(lambda: _gru_forward_ref(*scan_args))
+    dispatched = _best_of(lambda: call_kernel(
+        "gru_scan_forward", _gru_forward_ref, *scan_args))
     return {
         "dispatch_direct": direct,
         "dispatch_via_seam": dispatched,
-        "dispatch_overhead": dispatch_overhead,
-        "backends": legs,
-        "epoch_speedup": (legs["reference"]["epoch"]
-                          / legs["workspace"]["epoch"]),
-        "decode_speedup": (legs["reference"]["decode"]
-                           / legs["workspace"]["decode"]),
+        "dispatch_overhead": dispatched / direct - 1.0,
     }
 
 
@@ -575,8 +502,6 @@ def _meta() -> dict:
     except Exception:
         pass  # older numpy without dict mode: leave null
     return {
-        "backend": nn.get_backend(),
-        "available_backends": list(nn.available_backends()),
         "numpy": np.__version__,
         "blas": blas,
         "cpus": _usable_cpus(),
@@ -693,10 +618,6 @@ def test_perf_hotpath():
     assert compute_dtype["epoch_speedup"] >= 1.3, compute_dtype
     assert compute_dtype["drift"]["segment_accuracy_drift"] <= 0.02, \
         compute_dtype
-    # The backend seam must be free at the dispatch layer (< 2% on a
-    # single hot-kernel call) and the workspace backend must win on at
-    # least one of the two hot paths it targets (allocation-bound epoch
-    # scans or the plan-driven packed decode).
+    # The hot-kernel call point must be free (< 2% on a single
+    # hot-kernel call).
     assert backend["dispatch_overhead"] < 0.02, backend
-    assert max(backend["epoch_speedup"], backend["decode_speedup"]) >= 1.1, \
-        backend

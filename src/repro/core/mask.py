@@ -43,12 +43,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..data.dataset import Batch
-from ..nn.backend import (
-    backend_generation,
-    get_backend,
-    ops,
-    register_kernel,
-)
 from ..nn.dtypes import get_compute_dtype
 from ..nn.fusion import sparse_masks_enabled
 from ..spatial.geometry import Point
@@ -78,9 +72,9 @@ def _gather_csr(starts: np.ndarray, lens: np.ndarray
     such that ``pool[pos]`` concatenates the rows in order.
     """
     indptr = np.zeros(lens.size + 1, dtype=np.int64)
-    ops.cumsum(lens, out=indptr[1:])
+    np.cumsum(lens, out=indptr[1:])
     pos = (np.arange(int(indptr[-1]), dtype=np.int64)
-           + ops.repeat(starts - indptr[:-1], lens))
+           + np.repeat(starts - indptr[:-1], lens))
     return indptr, pos
 
 
@@ -174,12 +168,10 @@ class SparseConstraintMask:
         Used by the continuous-batching mux to stack per-request
         ``(A_i, S)`` decode-step masks into one ``(sum A_i, S)``
         working-set mask; per-row CSR slices are preserved exactly, so
-        the joined mask is row-for-row bit-identical to its parts.
-        Planned step masks (:class:`_PlannedStepMask`) flatten back to a
-        plain mask — consumers recompute the row expansion, which
-        changes no bits.  All parts must agree on kind: identity masks
-        only join identity masks, and the ``floor`` must be uniform
-        (mux keys enforce both before admission).
+        the joined mask is row-for-row bit-identical to its parts.  All
+        parts must agree on kind: identity masks only join identity
+        masks, and the ``floor`` must be uniform (mux keys enforce both
+        before admission).
         """
         if len(parts) == 1:
             return parts[0]
@@ -199,13 +191,13 @@ class SparseConstraintMask:
         if any(part.floor != floor for part in parts):
             raise ValueError(
                 "cannot concatenate step masks with different floors")
-        lens = ops.concatenate([ops.diff(part.indptr) for part in parts])
+        lens = np.concatenate([np.diff(part.indptr) for part in parts])
         indptr = np.zeros(total + 1, dtype=np.int64)
-        ops.cumsum(lens, out=indptr[1:])
+        np.cumsum(lens, out=indptr[1:])
         return SparseConstraintMask(
             (total, s), indptr,
-            ops.concatenate([part.indices for part in parts]),
-            ops.concatenate([part.log_values for part in parts]),
+            np.concatenate([part.indices for part in parts]),
+            np.concatenate([part.log_values for part in parts]),
             floor=floor)
 
     def to_dense(self) -> np.ndarray:
@@ -218,111 +210,10 @@ class SparseConstraintMask:
         s = self.shape[-1]
         out = np.full((self.n_rows, s), self.floor,
                       dtype=self.log_values.dtype)
-        lens = ops.diff(self.indptr)
-        nz_rows = ops.repeat(np.arange(self.n_rows), lens)
+        lens = np.diff(self.indptr)
+        nz_rows = np.repeat(np.arange(self.n_rows), lens)
         out[nz_rows, self.indices] = self.log_values
         return out.reshape(self.shape)
-
-
-class _PlannedStepMask(SparseConstraintMask):
-    """One decode step sliced out of a precomputed step plan.
-
-    Carries ``nz_rows`` (the CSR row-expansion the sparse log-softmax
-    core would otherwise recompute per step); values are views into the
-    plan's t-major table but are bit-identical to the fresh arrays
-    :meth:`SparseConstraintMask.step` gathers.
-    """
-
-    __slots__ = ("nz_rows",)
-
-    def __init__(self, shape, indptr, indices, log_values, floor, nz_rows):
-        # Trusted fast path: plan slices are consistent by construction,
-        # so the base-class validation is skipped.
-        self.shape = shape
-        self.indptr = indptr
-        self.indices = indices
-        self.log_values = log_values
-        self.floor = floor
-        self.identity = False
-        self.nz_rows = nz_rows
-
-
-class _MaskStepPlan:
-    """T-major transposed CSR table over one decode working set.
-
-    The packed decode engine slices the same ``(mask, rows)`` pair once
-    per timestep; the reference kernel pays a full CSR gather each call.
-    The plan performs **one** gather covering every remaining step (rows
-    re-ordered t-major), after which a step slice is two ``indptr``
-    offsets and four array views.  Built from ``t0`` (the step of the
-    first call) so a post-compaction working set only pays for its
-    remaining steps.
-    """
-
-    __slots__ = ("mask", "rows", "t0", "indptr", "indices", "log_values",
-                 "nz_all", "_num_rows")
-
-    def __init__(self, mask: SparseConstraintMask, rows: np.ndarray, t0: int):
-        steps = mask.shape[1]
-        a = rows.size
-        span = steps - t0
-        flat = (rows[None, :] * steps
-                + np.arange(t0, steps, dtype=np.int64)[:, None]).ravel()
-        lens = mask.indptr[flat + 1] - mask.indptr[flat]
-        self.indptr, pos = _gather_csr(mask.indptr[flat], lens)
-        self.indices = mask.indices[pos]
-        self.log_values = mask.log_values[pos]
-        self.nz_all = ops.repeat(
-            ops.broadcast_to(np.arange(a, dtype=np.int64), (span, a)).ravel(),
-            lens)
-        self.mask = mask
-        self.rows = rows
-        self.t0 = t0
-        self._num_rows = a
-
-    def step(self, t: int) -> _PlannedStepMask:
-        a = self._num_rows
-        lo = (t - self.t0) * a
-        base = int(self.indptr[lo])
-        hi = int(self.indptr[lo + a])
-        sub_indptr = self.indptr[lo:lo + a + 1] - base
-        return _PlannedStepMask(
-            (a, self.mask.shape[2]), sub_indptr, self.indices[base:hi],
-            self.log_values[base:hi], self.mask.floor, self.nz_all[base:hi])
-
-
-#: Plans memoised on the mask's identity and the row *contents*: the
-#: working set shrinks through the same compaction sequence every time
-#: the same batch is decoded, so repeat decodes (the serving shape —
-#: and every timed run after the first) reuse the plans the first pass
-#: built instead of re-gathering.  The strong ``mask`` reference inside
-#: each plan pins the object, so a cached id cannot be reused by a
-#: different mask while its entry lives.  Bounded, and cleared whenever
-#: the backend generation moves.
-_STEP_PLANS: dict[tuple[int, bytes], _MaskStepPlan] = {}
-_STEP_PLANS_GENERATION = -1
-_STEP_PLANS_CAPACITY = 64
-
-
-def _mask_step_planned(mask: SparseConstraintMask, t: int,
-                       rows: np.ndarray) -> SparseConstraintMask:
-    """Workspace kernel ``"sparse_mask_step"``: plan-backed step slices."""
-    global _STEP_PLANS_GENERATION
-    generation = backend_generation()
-    if generation != _STEP_PLANS_GENERATION:
-        _STEP_PLANS.clear()
-        _STEP_PLANS_GENERATION = generation
-    key = (id(mask), rows.tobytes())
-    plan = _STEP_PLANS.get(key)
-    if plan is None or plan.mask is not mask or t < plan.t0:
-        if len(_STEP_PLANS) >= _STEP_PLANS_CAPACITY:
-            _STEP_PLANS.clear()
-        plan = _MaskStepPlan(mask, rows, t)
-        _STEP_PLANS[key] = plan
-    return plan.step(t)
-
-
-register_kernel("workspace", "sparse_mask_step", _mask_step_planned)
 
 
 class ConstraintMaskBuilder:
@@ -370,7 +261,6 @@ class ConstraintMaskBuilder:
         # float32 builds gather from a float32 pool — one copy, not two).
         self._sp_values_cast: np.ndarray | None = None
         self._sp_cast_used = 0
-        self._sp_cast_backend = ""
         # Sorted encoded-key index for vectorized batch lookups: once a
         # batch's keys are all known, building is pure searchsorted+gather.
         self._enc_sorted = np.empty(0, dtype=np.int64)
@@ -381,7 +271,6 @@ class ConstraintMaskBuilder:
         self._cache: dict[tuple[int, int], np.ndarray] = {}
         self._row_matrix = np.empty((0, network.num_segments))
         self._dense_rows = 0  # rows [0, _dense_rows) of _row_matrix are filled
-        self._dense_backend = ""  # backend the row matrix was built under
 
     def __getstate__(self) -> dict:
         """Pickle only the defining knobs, never the memoised rows.
@@ -415,7 +304,7 @@ class ConstraintMaskBuilder:
             return 0
         keys: set[tuple[int, int]] = set()
         for example in dataset.examples:
-            quantised = ops.floor_divide(example.guide_xy, _QUANT).astype(np.int64)
+            quantised = np.floor_divide(example.guide_xy, _QUANT).astype(np.int64)
             keys.update(zip(quantised[:, 0].tolist(), quantised[:, 1].tolist()))
         for key in sorted(keys):
             self._register_key(key)
@@ -447,7 +336,7 @@ class ConstraintMaskBuilder:
             [max(_FLOOR_LOG, -(dist * dist) * inv_gamma_sq) for _, dist in hits]
         )
         if ids.size:  # store rows id-sorted: deterministic CSR layout
-            order = ops.argsort(ids)
+            order = np.argsort(ids)
             ids = ids[order]
             values = values[order]
         idx = len(self._key_to_row)
@@ -500,12 +389,10 @@ class ConstraintMaskBuilder:
         from scratch — a rare, experiment-setup-time event.
         """
         dtype = get_compute_dtype()
-        backend = get_backend()
-        if self._row_matrix.dtype != dtype or self._dense_backend != backend:
+        if self._row_matrix.dtype != dtype:
             self._row_matrix = np.empty((0, self.network.num_segments),
                                         dtype=dtype)
             self._dense_rows = 0
-            self._dense_backend = backend
         n = len(self._key_to_row)
         if self._dense_rows >= n:
             return
@@ -521,7 +408,7 @@ class ConstraintMaskBuilder:
     def _batch_rows(self, batch: Batch) -> np.ndarray:
         """Pool row index of every flattened ``(B * T)`` batch position,
         registering any keys not seen before."""
-        quantised = ops.floor_divide(batch.guide_xy, _QUANT).astype(np.int64)
+        quantised = np.floor_divide(batch.guide_xy, _QUANT).astype(np.int64)
         kx = quantised[..., 0].reshape(-1)
         ky = quantised[..., 1].reshape(-1)
         # Injective for |k| < 2^31 (coordinates within ~5e10 m of origin).
@@ -531,8 +418,8 @@ class ConstraintMaskBuilder:
             # Some keys are new: compute each distinct missing key's row
             # once, refresh the sorted index, and look up again (one
             # extra pass; positions shift when the index grows).
-            miss_idx = ops.flatnonzero(~hit)
-            _, first = ops.unique(encoded[miss_idx], return_index=True)
+            miss_idx = np.flatnonzero(~hit)
+            _, first = np.unique(encoded[miss_idx], return_index=True)
             for i in miss_idx[first]:
                 self._register_key((int(kx[i]), int(ky[i])))
             self._refresh_sorted_index()
@@ -568,14 +455,11 @@ class ConstraintMaskBuilder:
         dtype = get_compute_dtype()
         if dtype == self._sp_values.dtype:
             return self._sp_values
-        backend = get_backend()
         if (self._sp_values_cast is None
                 or self._sp_values_cast.dtype != dtype
-                or self._sp_cast_used != self._sp_used
-                or self._sp_cast_backend != backend):
+                or self._sp_cast_used != self._sp_used):
             self._sp_values_cast = self._sp_values[: self._sp_used].astype(dtype)
             self._sp_cast_used = self._sp_used
-            self._sp_cast_backend = backend
         return self._sp_values_cast
 
     def build_sparse(self, batch: Batch) -> SparseConstraintMask:
@@ -615,7 +499,7 @@ class ConstraintMaskBuilder:
         if self._enc_sorted.size == 0:
             return (np.zeros(encoded.shape, dtype=np.int64),
                     np.zeros(encoded.shape, dtype=bool))
-        position = ops.minimum(ops.searchsorted(self._enc_sorted, encoded),
+        position = np.minimum(np.searchsorted(self._enc_sorted, encoded),
                               self._enc_sorted.size - 1)
         return position, self._enc_sorted[position] == encoded
 
@@ -629,7 +513,7 @@ class ConstraintMaskBuilder:
                         dtype=np.int64)
         rows = np.fromiter(self._key_to_row.values(), dtype=np.int64,
                            count=len(self._key_to_row))
-        order = ops.argsort(keys)
+        order = np.argsort(keys)
         self._enc_sorted = keys[order]
         self._enc_rows = rows[order]
 
@@ -660,9 +544,7 @@ class ConstraintMaskBuilder:
         self._sp_used = 0
         self._sp_values_cast = None
         self._sp_cast_used = 0
-        self._sp_cast_backend = ""
         self._row_matrix = np.empty((0, self.network.num_segments))
         self._dense_rows = 0
-        self._dense_backend = ""
         self._enc_sorted = np.empty(0, dtype=np.int64)
         self._enc_rows = np.empty(0, dtype=np.int64)

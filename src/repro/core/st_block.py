@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .. import nn
-from ..nn.backend import call_kernel, ops, register_kernel, workspace
+from ..nn.kernels import call_kernel
 from ..nn.tensor import Tensor
 
 __all__ = ["LightweightSTOperator", "STStepOutput"]
@@ -113,7 +113,7 @@ class LightweightSTOperator(nn.Module):
         logits = self.seg_head(h_d)  # (B, S)
         masked = logits + nn.Tensor(log_mask_t)  # Eq. 11 in log space
         log_probs = nn.log_softmax(masked, axis=-1)
-        segments = ops.argmax(log_probs.data, axis=-1).astype(np.int64)
+        segments = np.argmax(log_probs.data, axis=-1).astype(np.int64)
 
         seg_emb = self.seg_embedding(segments)  # (B, E), detached ids
         h_e = (h_d + self.emb_proj(seg_emb)).relu()  # Eq. 8 Emb step
@@ -172,7 +172,7 @@ class LightweightSTOperator(nn.Module):
         h_d = self.dense_d(h_prime)  # (B, T, H)
         logits = self.seg_head(h_d)  # (B, T, S)
         log_probs = nn.masked_log_softmax(logits, log_mask)  # Eq. 11
-        segments = ops.argmax(log_probs.data, axis=-1).astype(np.int64)
+        segments = np.argmax(log_probs.data, axis=-1).astype(np.int64)
 
         seg_emb = self.seg_embedding(segments)  # (B, T, E), detached ids
         h_e = (h_d + self.emb_proj(seg_emb)).relu()  # Eq. 8 Emb step
@@ -210,12 +210,12 @@ class LightweightSTOperator(nn.Module):
         """
         emb_w = self.seg_embedding.weight.data
         seg_emb = emb_w[segments]
-        h_e = ops.maximum(
+        h_e = np.maximum(
             h_d + seg_emb @ self.emb_proj.weight.data + self.emb_proj.bias.data,
             0.0,
         )
-        return ops.maximum(
-            nn.row_dot(ops.concatenate([h_e, seg_emb], axis=1),
+        return np.maximum(
+            nn.row_dot(np.concatenate([h_e, seg_emb], axis=1),
                        self.ratio_head.weight.data)
             + self.ratio_head.bias.data,
             0.0,
@@ -226,81 +226,32 @@ class LightweightSTOperator(nn.Module):
         return [encoder_state for _ in range(self.num_blocks)]
 
 
-def _st_masked_log_probs(logits: np.ndarray, log_mask_t) -> np.ndarray:
-    """Mask + log-softmax one decode step's logits (shared by both
-    ``st_decode_step`` kernel variants — the output escapes, so it is
-    always freshly allocated)."""
-    if isinstance(log_mask_t, np.ndarray):
-        # Raw mirror of the tape masked_log_softmax, including its
-        # float64 normaliser accumulation (rounded back in place at
-        # reduced compute dtypes), so packed decode reproduces the
-        # tape path's bits at any precision.
-        if log_mask_t.dtype != logits.dtype:
-            log_mask_t = log_mask_t.astype(logits.dtype)
-        masked = logits + log_mask_t
-        shifted = masked - masked.max(axis=-1, keepdims=True)
-        shifted -= ops.log(ops.exp(shifted).sum(axis=-1, keepdims=True,
-                                                dtype=np.float64))
-        return shifted
-    return nn.sparse_masked_log_probs(logits, log_mask_t)
-
-
 def _st_decode_step_ref(operator, hidden_states, prev_segments, prev_ratios,
                         extras, log_mask_t):
-    """Kernel ``"st_decode_step"``: reference decode-step advance."""
+    """Kernel ``"st_decode_step"``: one tape-free decode-step advance."""
     emb_w = operator.seg_embedding.weight.data
-    x = ops.concatenate(
+    x = np.concatenate(
         [emb_w[prev_segments], prev_ratios[:, None], extras], axis=1
     )
     next_states: list[np.ndarray] = []
     for cell, h in zip(operator.cells, hidden_states):
-        x = ops.tanh(x @ cell.w_x.data + h @ cell.w_h.data + cell.bias.data)
+        x = np.tanh(x @ cell.w_x.data + h @ cell.w_h.data + cell.bias.data)
         next_states.append(x)
 
     h_d = x @ operator.dense_d.weight.data + operator.dense_d.bias.data
     logits = h_d @ operator.seg_head.weight.data
     if operator.seg_head.bias is not None:
         logits += operator.seg_head.bias.data
-    return next_states, h_d, _st_masked_log_probs(logits, log_mask_t)
-
-
-def _st_decode_step_ws(operator, hidden_states, prev_segments, prev_ratios,
-                       extras, log_mask_t):
-    """Workspace variant: matmul pre-activations and the logits land in
-    pooled scratch (same ops, same order — bitwise identical); the
-    arrays that escape (``next_states`` tanh outputs, ``h_d``, the log
-    probabilities) stay freshly allocated."""
-    emb_w = operator.seg_embedding.weight.data
-    rows = prev_segments.shape[0]
-    dtype = emb_w.dtype
-    width = emb_w.shape[1] + 1 + extras.shape[1]
-    x = ops.concatenate(
-        [emb_w[prev_segments], prev_ratios[:, None], extras], axis=1,
-        out=workspace.take((rows, width), dtype, "st.x"))
-    next_states: list[np.ndarray] = []
-    for cell, h in zip(operator.cells, hidden_states):
-        hidden = cell.bias.data.shape[0]
-        pre = ops.matmul(x, cell.w_x.data,
-                         out=workspace.take((rows, hidden), dtype, "st.pre"))
-        rec = ops.matmul(h, cell.w_h.data,
-                         out=workspace.take((rows, hidden), dtype, "st.rec"))
-        pre += rec
-        pre += cell.bias.data
-        x = ops.tanh(pre)  # escapes as the next recurrent state: fresh
-        next_states.append(x)
-
-    dense_w = operator.dense_d.weight.data
-    pre_d = ops.matmul(x, dense_w,
-                       out=workspace.take((rows, dense_w.shape[1]), dtype,
-                                          "st.pre_d"))
-    h_d = pre_d + operator.dense_d.bias.data  # escapes: fresh
-    head_w = operator.seg_head.weight.data
-    logits = ops.matmul(h_d, head_w,
-                        out=workspace.take((rows, head_w.shape[1]), dtype,
-                                           "st.logits"))
-    if operator.seg_head.bias is not None:
-        logits += operator.seg_head.bias.data
-    return next_states, h_d, _st_masked_log_probs(logits, log_mask_t)
-
-
-register_kernel("workspace", "st_decode_step", _st_decode_step_ws)
+    if not isinstance(log_mask_t, np.ndarray):
+        return next_states, h_d, nn.sparse_masked_log_probs(logits, log_mask_t)
+    # Raw mirror of the tape masked_log_softmax, including its float64
+    # normaliser accumulation (rounded back in place at reduced compute
+    # dtypes), so packed decode reproduces the tape path's bits at any
+    # precision.
+    if log_mask_t.dtype != logits.dtype:
+        log_mask_t = log_mask_t.astype(logits.dtype)
+    masked = logits + log_mask_t
+    shifted = masked - masked.max(axis=-1, keepdims=True)
+    shifted -= np.log(np.exp(shifted).sum(axis=-1, keepdims=True,
+                                            dtype=np.float64))
+    return next_states, h_d, shifted

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from ..nn.backend import get_backend
 from ..nn.dtypes import get_compute_dtype
 from ..spatial.grid import Grid
 from ..spatial.roadnet import RoadNetwork
@@ -247,16 +246,16 @@ class TrajectoryDataset:
     def _collate_cached(self, key: tuple[int, ...]) -> Batch:
         """Collate the examples at ``key``, memoising per index tuple.
 
-        The memo key carries the compute dtype and the array-backend
-        name: flipping either mid-run re-collates instead of serving
-        arrays built under the previous configuration.
+        The memo key carries the compute dtype: flipping it mid-run
+        re-collates instead of serving arrays built under the previous
+        precision.
         """
-        key = (get_compute_dtype().char, get_backend()) + key
+        key = (get_compute_dtype().char,) + key
         batch = self._batch_cache.get(key)
         if batch is not None:
             self._batch_cache.move_to_end(key)
             return batch
-        batch = self._collate([self.examples[i] for i in key[2:]])
+        batch = self._collate([self.examples[i] for i in key[1:]])
         for spec in fields(Batch):  # shared across callers: freeze
             getattr(batch, spec.name).flags.writeable = False
         self._batch_cache[key] = batch

@@ -124,12 +124,6 @@ def main(argv: list[str] | None = None) -> int:
                              "with float64 accumulations and optimizer "
                              "master state; default: the scale's setting, "
                              "float64 = bitwise reference)")
-    parser.add_argument("--backend", default=None, metavar="NAME",
-                        help="array backend for kernel math (reference: "
-                             "plain NumPy, the default; workspace: "
-                             "buffer-reusing hot kernels, bitwise-identical "
-                             "results; numba when that package is "
-                             "installed; see REPRO_BACKEND)")
     parser.add_argument("--exchange-codec", default=None, metavar="NAME",
                         help="wire codec for parameter exchange (identity: "
                              "raw float64, the default; float32: half-width "
@@ -203,8 +197,6 @@ def main(argv: list[str] | None = None) -> int:
         scale = dataclasses.replace(scale, decode_batch=args.decode_batch)
     if args.compute_dtype is not None:
         scale = dataclasses.replace(scale, compute_dtype=args.compute_dtype)
-    if args.backend is not None:
-        scale = dataclasses.replace(scale, backend=args.backend)
     if args.exchange_codec is not None:
         scale = dataclasses.replace(scale, exchange_codec=args.exchange_codec)
     if args.async_buffer is not None:

@@ -65,7 +65,6 @@ class ExperimentScale:
     workers: int = 0  # > 0: process-pool round runner (identical results)
     decode_batch: int = 0  # > 0: bound the packed-decode working set
     compute_dtype: str = "float64"  # "float32": mixed-precision substrate
-    backend: str = "reference"  # array backend (see repro.nn.backend)
     # --- robustness knobs (docs/ROBUSTNESS.md) ---
     min_clients_per_round: int = 1  # aggregation quorum
     task_retries: int = 1  # re-attempts per failed client task
@@ -280,15 +279,12 @@ class ExperimentContext:
         together — a memory knob, not an accuracy knob.  The scale's
         ``compute_dtype`` scopes the whole run (model construction,
         training, and evaluation) to that kernel precision; ``float64``
-        (the default) is the bitwise reference substrate.  ``backend``
-        likewise scopes the array-backend selection (``reference`` is
-        the default; ``workspace`` is bitwise-identical).
+        (the default) is the bitwise reference substrate.
         """
         clients, global_test = self.federation(dataset_name, keep_ratio, num_clients)
         config = self.model_config(dataset_name)
         mask = self.mask_builder(dataset_name, identity=mask_identity)
-        with nn.use_compute_dtype(self.scale.compute_dtype), \
-                nn.use_backend(self.scale.backend):
+        with nn.use_compute_dtype(self.scale.compute_dtype):
             factory = make_model_factory(method, config,
                                          self.dataset(dataset_name).network,
                                          seed=self.scale.seed + 29)
@@ -396,8 +392,7 @@ def run_centralized_comparison(context: ExperimentContext,
             # The centralized leg bypasses run_method, so scope the
             # compute dtype here too — Table VI must compare both
             # methods on the same substrate.
-            with nn.use_compute_dtype(context.scale.compute_dtype), \
-                    nn.use_backend(context.scale.backend):
+            with nn.use_compute_dtype(context.scale.compute_dtype):
                 factory = make_model_factory("MTrajRec", config,
                                              context.dataset(dataset).network,
                                              seed=context.scale.seed + 29)
@@ -514,8 +509,7 @@ def run_case_study(context: ExperimentContext, dataset_name: str = "tdrive",
     predictions: dict[str, np.ndarray] = {}
     # Trains its own models rather than going through run_method, so
     # scope the compute dtype here too.
-    with nn.use_compute_dtype(context.scale.compute_dtype), \
-            nn.use_backend(context.scale.backend):
+    with nn.use_compute_dtype(context.scale.compute_dtype):
         for method in methods:
             run_cfg = context.federated_config(use_meta=(method == "LightTR"))
             factory = make_model_factory(method,
@@ -559,8 +553,7 @@ def run_fault_tolerance_sweep(context: ExperimentContext,
     clients, global_test = context.federation(dataset_name, keep_ratio)
     mask = context.mask_builder(dataset_name)
     rows = []
-    with nn.use_compute_dtype(context.scale.compute_dtype), \
-            nn.use_backend(context.scale.backend):
+    with nn.use_compute_dtype(context.scale.compute_dtype):
         factory = make_model_factory("LightTR",
                                      context.model_config(dataset_name),
                                      context.dataset(dataset_name).network,

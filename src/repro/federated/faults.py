@@ -249,7 +249,7 @@ def forced_plan_from_env() -> FaultPlan | None:
 
     The CI ``tier1-fault-injection`` leg sets this so the whole
     federated suite runs against injected failures, mirroring the
-    ``REPRO_BACKEND`` / ``REPRO_COMPUTE_DTYPE`` forcing pattern.
+    ``REPRO_COMPUTE_DTYPE`` forcing pattern.
     """
     text = os.environ.get("REPRO_FAULT_PLAN", "").strip()
     if not text:

@@ -34,9 +34,8 @@ round histories and final global parameters:
   packed-decode flag (the accuracy gates of Algorithm 2 run inference
   through :mod:`repro.serving`), the exchange dtype, the compute
   dtype (worker-side models are cast in place if the parent flipped it
-  after pool start-up), and the array-backend selection
-  (:func:`repro.nn.set_backend`) — so both sides run the same kernels
-  over the same mask representation at the same precision;
+  after pool start-up) — so both sides run the same kernels over the
+  same mask representation at the same precision;
 * the trainer submits tasks in ascending client-id order and the
   runners return results in task order, so aggregation order never
   depends on completion order;
@@ -179,7 +178,6 @@ class RoundTask:
     packed_decode: bool = True
     exchange_dtype: str = "float64"
     compute_dtype: str = "float64"
-    backend: str = "reference"
     round_index: int = 0  # fault-plan coordinate
     exchange_codec: str = "identity"  # uplink/downlink wire codec name
     defer_stragglers: bool = False  # async mode: no real sleeps
@@ -550,7 +548,6 @@ class TaskExecutor:
             nn.set_packed_decode(task.packed_decode),
             nn.set_default_dtype(task.exchange_dtype),
             nn.set_compute_dtype(task.compute_dtype),
-            nn.set_backend(task.backend),
         )
         try:
             plan = self.setup.fault_plan
@@ -590,11 +587,6 @@ class TaskExecutor:
             nn.set_packed_decode(previous[2])
             nn.set_default_dtype(previous[3])
             nn.set_compute_dtype(previous[4])
-            nn.set_backend(previous[5])
-
-
-#: Backwards-compatible alias (tests patch ``runner._WorkerState``).
-_WorkerState = TaskExecutor
 
 
 class ArenaRunner(RoundRunner):

@@ -713,7 +713,6 @@ class FederatedTrainer:
                 packed_decode=nn.packed_decode_enabled(),
                 exchange_dtype=nn.get_default_dtype().name,
                 compute_dtype=nn.get_compute_dtype().name,
-                backend=nn.get_backend(),
                 round_index=round_index,
                 exchange_codec=self.codec.name,
                 defer_stragglers=defer_stragglers,

@@ -18,25 +18,12 @@ original per-step tape path is retained behind
 equivalence tests; both paths produce matching outputs and gradients
 (verified to atol 1e-10 and by finite differences).
 
-All kernel array math dispatches through the pluggable backend seam
-(:mod:`repro.nn.backend`): :func:`use_backend` / ``REPRO_BACKEND``
-select among the ``reference`` NumPy backend (the default), the
-``workspace`` backend (buffer-reusing hot-kernel variants, bitwise
-identical), and ``numba`` when that package is importable.
+Kernel math is plain NumPy.  The multi-step hot kernels run through
+:func:`~repro.nn.kernels.call_kernel`, a named pass-through that gives
+tracers one place to wrap.
 """
 
 from .attention import AdditiveAttention, SelfAttention, scaled_dot_product_attention
-from .backend import (
-    ArrayBackend,
-    available_backends,
-    backend_generation,
-    call_kernel,
-    get_backend,
-    register_backend,
-    register_kernel,
-    set_backend,
-    use_backend,
-)
 from .dtypes import (
     get_compute_dtype,
     get_default_dtype,
@@ -80,6 +67,7 @@ from .fusion import (
     use_packed_decode,
     use_sparse_masks,
 )
+from .kernels import call_kernel
 from .layers import MLP, Dropout, Embedding, LayerNorm, Linear, ReLU, Sigmoid, Tanh
 from .loss import cross_entropy, distillation_loss, l1_loss, mse_loss, nll_from_log_probs
 from .module import Module, ModuleList, Parameter, Sequential
@@ -119,10 +107,8 @@ __all__ = [
     # precision switches (compute + exchange)
     "get_compute_dtype", "set_compute_dtype", "use_compute_dtype",
     "get_default_dtype", "set_default_dtype", "use_default_dtype",
-    # array backend seam (see repro.nn.backend)
-    "ArrayBackend", "available_backends", "backend_generation",
-    "get_backend", "set_backend", "use_backend",
-    "register_backend", "register_kernel", "call_kernel",
+    # hot-kernel call point
+    "call_kernel",
     # attention
     "AdditiveAttention", "SelfAttention", "scaled_dot_product_attention",
     # losses

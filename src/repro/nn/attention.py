@@ -11,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import init as initializers
-from .backend import ops
 from .functional import concat, softmax
 from .module import Module, Parameter
 from .tensor import Tensor
@@ -26,7 +25,7 @@ def scaled_dot_product_attention(q: Tensor, k: Tensor, v: Tensor) -> tuple[Tenso
     Returns the attended values and the attention weights.
     """
     d = q.shape[-1]
-    scores = (q @ k.transpose(*range(k.ndim - 2), k.ndim - 1, k.ndim - 2)) * (1.0 / ops.sqrt(d))
+    scores = (q @ k.transpose(*range(k.ndim - 2), k.ndim - 1, k.ndim - 2)) * (1.0 / np.sqrt(d))
     weights = softmax(scores, axis=-1)
     return weights @ v, weights
 
@@ -88,11 +87,11 @@ class AdditiveAttention(Module):
 
         batch, steps, hidden = keys.shape
         q = (query @ self.w_query.data).reshape(batch, 1, hidden)
-        energy = row_dot(ops.tanh(q + keys_proj), self.v.data)  # (B, T)
+        energy = row_dot(np.tanh(q + keys_proj), self.v.data)  # (B, T)
         if mask is not None:
-            energy = ops.where(np.asarray(mask, dtype=bool), energy, -1e9)
+            energy = np.where(np.asarray(mask, dtype=bool), energy, -1e9)
         weights = energy - energy.max(axis=-1, keepdims=True)
-        ops.exp(weights, out=weights)
+        np.exp(weights, out=weights)
         weights /= weights.sum(axis=-1, keepdims=True)
         return (weights.reshape(batch, 1, steps) @ keys).reshape(batch, hidden)
 

@@ -24,7 +24,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .backend import ops
 from .dtypes import get_default_dtype
 from .module import Module, Parameter
 
@@ -44,7 +43,7 @@ class FlatLayout:
         self.names = tuple(names)
         self.shapes = tuple(tuple(s) for s in shapes)
         self.sizes = tuple(int(np.prod(s, dtype=np.int64)) for s in self.shapes)
-        offsets = ops.cumsum((0,) + self.sizes)
+        offsets = np.cumsum((0,) + self.sizes)
         self.offsets = tuple(int(o) for o in offsets[:-1])
         self.total_size = int(offsets[-1])
 

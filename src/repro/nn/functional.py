@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .backend import call_kernel, ops
+from .kernels import call_kernel
 from .tensor import Tensor, _node, as_tensor
 
 __all__ = [
@@ -69,9 +69,9 @@ def addmm(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
 def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
     """Concatenate tensors along ``axis`` (differentiable)."""
     tensors = [as_tensor(t) for t in tensors]
-    data = ops.concatenate([t.data for t in tensors], axis=axis)
+    data = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.data.shape[axis] for t in tensors]
-    offsets = ops.cumsum([0] + sizes)
+    offsets = np.cumsum([0] + sizes)
 
     def backward(grad, stage):
         grad = np.asarray(grad)
@@ -86,7 +86,7 @@ def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
 def stack(tensors: list[Tensor], axis: int = 0) -> Tensor:
     """Stack tensors along a new ``axis`` (differentiable)."""
     tensors = [as_tensor(t) for t in tensors]
-    data = ops.stack([t.data for t in tensors], axis=axis)
+    data = np.stack([t.data for t in tensors], axis=axis)
 
     def backward(grad, stage):
         grad = np.asarray(grad)
@@ -106,7 +106,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """
     x = as_tensor(x)
     out_data = x.data - x.data.max(axis=axis, keepdims=True)
-    ops.exp(out_data, out=out_data)
+    np.exp(out_data, out=out_data)
     out_data /= out_data.sum(axis=axis, keepdims=True, dtype=np.float64)
 
     def backward(grad, stage):
@@ -138,32 +138,30 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
 def _log_softmax_ref(x_data: np.ndarray, axis: int):
     """Dense log-softmax core: ``(out, soft)`` on raw arrays.
 
-    Hot-kernel seam ``"log_softmax_dense"``.  Implementations must
-    return freshly allocated arrays — both escape into the tape node
-    and its backward closure.
+    Hot kernel ``"log_softmax_dense"``.  Both arrays escape into the
+    tape node and its backward closure.
     """
     shifted = x_data - x_data.max(axis=axis, keepdims=True)
-    soft = ops.exp(shifted)
+    soft = np.exp(shifted)
     # float64 normaliser accumulation (exact at float64 compute; one
     # rounding per row at float32 — see docs/PERFORMANCE.md precision).
     sumexp = soft.sum(axis=axis, keepdims=True, dtype=np.float64)
     out_data = shifted
-    out_data -= ops.log(sumexp)
+    out_data -= np.log(sumexp)
     soft /= sumexp
     return out_data, soft
 
 
 def _masked_log_softmax_ref(x_data: np.ndarray, log_mask: np.ndarray,
                             axis: int):
-    """Dense masked log-softmax core (hot-kernel seam
-    ``"masked_log_softmax_dense"``); same escape contract as
-    :func:`_log_softmax_ref`."""
+    """Dense masked log-softmax core (hot kernel
+    ``"masked_log_softmax_dense"``); see :func:`_log_softmax_ref`."""
     shifted = x_data + log_mask
     shifted -= shifted.max(axis=axis, keepdims=True)
-    soft = ops.exp(shifted)
+    soft = np.exp(shifted)
     sumexp = soft.sum(axis=axis, keepdims=True, dtype=np.float64)
     out_data = shifted
-    out_data -= ops.log(sumexp)
+    out_data -= np.log(sumexp)
     soft /= sumexp
     return out_data, soft
 
@@ -197,7 +195,7 @@ def masked_log_softmax(x: Tensor, log_mask, axis: int = -1) -> Tensor:
     def backward(grad, stage):
         grad = np.asarray(grad)
         dx = soft * grad.sum(axis=axis, keepdims=True)
-        ops.subtract(grad, dx, out=dx)
+        np.subtract(grad, dx, out=dx)
         stage(x, dx)
 
     return _node(out_data, (x,), backward)
@@ -205,7 +203,7 @@ def masked_log_softmax(x: Tensor, log_mask, axis: int = -1) -> Tensor:
 
 def _sparse_log_probs_core(x2: np.ndarray, smask, want_soft: bool):
     """Masked log-softmax over CSR rows; shared by tape and no-tape paths
-    (hot-kernel seam ``"sparse_log_probs"``).
+    (hot kernel ``"sparse_log_probs"``).
 
     ``x2`` is the ``(R, S)`` row-flattened logits; ``smask`` supplies
     ``indptr`` (``(R+1,)``), ``indices`` / ``log_values`` (``(nnz,)``)
@@ -226,19 +224,11 @@ def _sparse_log_probs_core(x2: np.ndarray, smask, want_soft: bool):
 
 
 def _sparse_log_probs_ref(x2: np.ndarray, smask, want_soft: bool):
-    """Reference CSR masked log-softmax (see :func:`_sparse_log_probs_core`).
-
-    A planned step mask (``smask.nz_rows`` precomputed by the workspace
-    decode-plan kernel) short-circuits the per-call row-expansion —
-    the cached array is the exact value computed here, so reading it
-    changes no bits on any backend.
-    """
+    """Reference CSR masked log-softmax (see :func:`_sparse_log_probs_core`)."""
     r, s = x2.shape
     indptr = smask.indptr
-    lens = ops.diff(indptr)
-    nz_rows = getattr(smask, "nz_rows", None)
-    if nz_rows is None:
-        nz_rows = ops.repeat(np.arange(r), lens)
+    lens = np.diff(indptr)
+    nz_rows = np.repeat(np.arange(r), lens)
     log_values = smask.log_values
     if log_values.dtype != x2.dtype:
         log_values = log_values.astype(x2.dtype)
@@ -252,12 +242,12 @@ def _sparse_log_probs_ref(x2: np.ndarray, smask, want_soft: bool):
     if z_nz.size:
         starts = indptr[:-1][nonempty]
         seg_lens = lens[nonempty]
-        seg_max = ops.maximum_reduceat(z_nz, starts)
-        e_nz = ops.exp(z_nz - ops.repeat(seg_max, seg_lens))
-        seg_sum = ops.add_reduceat(e_nz, starts, dtype=np.float64)
-        log_z[nonempty] = seg_max + ops.log(seg_sum)
+        seg_max = np.maximum.reduceat(z_nz, starts)
+        e_nz = np.exp(z_nz - np.repeat(seg_max, seg_lens))
+        seg_sum = np.add.reduceat(e_nz, starts, dtype=np.float64)
+        log_z[nonempty] = seg_max + np.log(seg_sum)
         if want_soft:
-            e_nz /= ops.repeat(seg_sum, seg_lens)
+            e_nz /= np.repeat(seg_sum, seg_lens)
             soft_nz = e_nz
     elif want_soft:
         soft_nz = np.empty(0, dtype=x2.dtype)
@@ -266,9 +256,9 @@ def _sparse_log_probs_ref(x2: np.ndarray, smask, want_soft: bool):
     if empty.any():
         xe = x2[empty]
         max_e = xe.max(axis=1, keepdims=True)
-        exp_e = ops.exp(xe - max_e)
+        exp_e = np.exp(xe - max_e)
         sum_e = exp_e.sum(axis=1, keepdims=True, dtype=np.float64)
-        log_z[empty] = smask.floor + (max_e + ops.log(sum_e)).ravel()
+        log_z[empty] = smask.floor + (max_e + np.log(sum_e)).ravel()
         if want_soft:
             exp_e /= sum_e
             soft_empty = exp_e
@@ -323,7 +313,7 @@ def sparse_masked_log_probs(logits: np.ndarray, smask) -> np.ndarray:
     if getattr(smask, "identity", False):
         shifted = logits - logits.max(axis=-1, keepdims=True)
         # Mirror of log_softmax: float64 normaliser, rounded in place.
-        shifted -= ops.log(ops.exp(shifted).sum(axis=-1, keepdims=True,
+        shifted -= np.log(np.exp(shifted).sum(axis=-1, keepdims=True,
                                                 dtype=np.float64))
         return shifted
     out, _ = _sparse_log_probs_core(
@@ -387,7 +377,7 @@ def embedding_lookup(weight: Tensor, indices: np.ndarray) -> Tensor:
 
     def backward(grad, stage):
         full = np.zeros_like(weight.data)
-        ops.add_at(full, indices.reshape(-1), np.asarray(grad).reshape(-1, weight.data.shape[1]))
+        np.add.at(full, indices.reshape(-1), np.asarray(grad).reshape(-1, weight.data.shape[1]))
         stage(weight, full)
 
     return _node(weight.data[indices], (weight,), backward)
@@ -421,7 +411,7 @@ def where_mask(mask: np.ndarray, x: Tensor, fill: float) -> Tensor:
     def backward(grad, stage):
         stage(x, np.asarray(grad) * mask)
 
-    return _node(ops.where(mask, x.data, fill), (x,), backward)
+    return _node(np.where(mask, x.data, fill), (x,), backward)
 
 
 def pad_sequences(arrays: list[np.ndarray], pad_value: float = 0.0) -> tuple[np.ndarray, np.ndarray]:

@@ -8,22 +8,20 @@ from __future__ import annotations
 
 import numpy as np
 
-from .backend import ops
-
 __all__ = ["xavier_uniform", "kaiming_uniform", "uniform", "zeros_init", "orthogonal"]
 
 
 def xavier_uniform(shape: tuple[int, ...], rng: np.random.Generator, gain: float = 1.0) -> np.ndarray:
     """Glorot/Xavier uniform: U(-a, a) with a = gain * sqrt(6 / (fan_in + fan_out))."""
     fan_in, fan_out = _fans(shape)
-    bound = gain * ops.sqrt(6.0 / (fan_in + fan_out))
+    bound = gain * np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-bound, bound, size=shape)
 
 
 def kaiming_uniform(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
     """He/Kaiming uniform for ReLU fan-in scaling."""
     fan_in, _ = _fans(shape)
-    bound = ops.sqrt(6.0 / fan_in)
+    bound = np.sqrt(6.0 / fan_in)
     return rng.uniform(-bound, bound, size=shape)
 
 
@@ -44,8 +42,8 @@ def orthogonal(shape: tuple[int, ...], rng: np.random.Generator, gain: float = 1
     rows, cols = shape
     size = max(rows, cols)
     a = rng.standard_normal((size, size))
-    q, r = ops.qr(a)
-    q = q * ops.sign(ops.diag(r))
+    q, r = np.linalg.qr(a)
+    q = q * np.sign(np.diag(r))
     return gain * q[:rows, :cols]
 
 

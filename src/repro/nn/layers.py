@@ -10,7 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import init as initializers
-from .backend import ops
 from .functional import addmm
 from .functional import dropout as dropout_fn
 from .functional import embedding_lookup
@@ -72,7 +71,7 @@ class Embedding(Module):
             raise ValueError("Embedding sizes must be positive")
         self.num_embeddings = num_embeddings
         self.embedding_dim = embedding_dim
-        scale = 1.0 / ops.sqrt(embedding_dim)
+        scale = 1.0 / np.sqrt(embedding_dim)
         self.weight = Parameter(initializers.uniform((num_embeddings, embedding_dim), rng, scale))
 
     def forward(self, indices) -> Tensor:

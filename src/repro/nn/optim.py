@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .backend import ops
 from .flatten import FlatParameterSpace
 from .module import Parameter
 
@@ -188,7 +187,7 @@ class Adam(Optimizer):
             m, v = self._m_flat, self._v_flat
             # v first (needs grad^2), then m can consume the grad buffer.
             v *= self.beta2
-            sq = ops.multiply(grad, grad, out=self._denom)
+            sq = np.multiply(grad, grad, out=self._denom)
             sq *= 1.0 - self.beta2
             v += sq
             m *= self.beta1
@@ -197,10 +196,10 @@ class Adam(Optimizer):
             # update = lr * (m / bias1) / (sqrt(v / bias2) + eps) with the
             # bias corrections folded into scalars:
             #   = (lr * sqrt(bias2) / bias1) * m / (sqrt(v) + eps * sqrt(bias2))
-            root_bias2 = ops.sqrt(bias2)
-            denom = ops.sqrt(v, out=self._denom)
+            root_bias2 = np.sqrt(bias2)
+            denom = np.sqrt(v, out=self._denom)
             denom += self.eps * root_bias2
-            update = ops.divide(m, denom, out=self._update)
+            update = np.divide(m, denom, out=self._update)
             update *= self.lr * root_bias2 / bias1
             theta -= update
             self._space.set_flat(theta)
@@ -219,7 +218,7 @@ class Adam(Optimizer):
             v_hat = v / bias2
             # Update in float64, cast back at the parameter write.
             p.data = (p.data - self.lr * m_hat
-                      / (ops.sqrt(v_hat) + self.eps)).astype(p.data.dtype,
+                      / (np.sqrt(v_hat) + self.eps)).astype(p.data.dtype,
                                                             copy=False)
 
 
@@ -233,8 +232,8 @@ def clip_grad_norm(parameters: list[Parameter], max_norm: float) -> float:
     grads = [p.grad for p in parameters if p.grad is not None]
     if not grads:
         return 0.0
-    total = float(ops.sqrt(np.fromiter(
-        (ops.dot(g.reshape(-1), g.reshape(-1)) for g in grads),
+    total = float(np.sqrt(np.fromiter(
+        (np.dot(g.reshape(-1), g.reshape(-1)) for g in grads),
         dtype=np.float64, count=len(grads)).sum()))
     if total > max_norm:
         scale = max_norm / (total + 1e-12)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import init as initializers
-from .backend import call_kernel, ops, register_kernel, workspace
+from .kernels import call_kernel
 from .functional import concat, stack
 from .fusion import fused_kernels_enabled
 from .module import Module, Parameter
@@ -54,23 +54,23 @@ def _mask_keep(mask: np.ndarray | None, batch: int, steps: int,
 # fused sequence kernels
 #
 # Each scan's sequential loop is factored into a forward/backward pair
-# dispatched through the hot-kernel registry (:func:`repro.nn.backend
-# .call_kernel`): the reference implementation allocates its own
-# scratch; the workspace backend registers variants that draw loop
-# scratch from the shared :data:`~repro.nn.backend.workspace` pool —
-# the same operations in the same order writing into pooled buffers,
-# so outputs stay bitwise identical.  Arrays that escape a kernel
-# (returned activations the tape node or backward closure retains) are
-# always freshly allocated; only call-local scratch is pooled.
+# run through :func:`repro.nn.kernels.call_kernel` under a stable kernel
+# name.  Loops write through preallocated buffers to avoid per-step
+# temporaries.
 # ----------------------------------------------------------------------
-def _rnn_scan_loop(xw, h0, w_h_data, keep, raw, hs, pre):
-    """The sequential Elman recurrence over preallocated buffers."""
-    steps = xw.shape[1]
+def _rnn_forward_ref(xw, h0, w_h_data, keep):
+    """Kernel ``"rnn_scan_forward"``: the Elman recurrence; returns
+    ``(raw, hs)`` (tanh pre-carry outputs and carried states)."""
+    batch, steps, hidden = xw.shape
+    dtype = xw.dtype
+    raw = np.empty((batch, steps, hidden), dtype)
+    hs = raw if keep is None else np.empty((batch, steps, hidden), dtype)
+    pre = np.empty((batch, hidden), dtype)
     h = h0
     for t in range(steps):
-        ops.matmul(h, w_h_data, out=pre)
+        np.matmul(h, w_h_data, out=pre)
         pre += xw[:, t]
-        ht = ops.tanh(pre, out=raw[:, t])
+        ht = np.tanh(pre, out=raw[:, t])
         if keep is None:
             h = ht
         else:
@@ -80,39 +80,18 @@ def _rnn_scan_loop(xw, h0, w_h_data, keep, raw, hs, pre):
     return raw, hs
 
 
-def _rnn_forward_ref(xw, h0, w_h_data, keep):
-    """Kernel ``"rnn_scan_forward"``: returns ``(raw, hs)`` — both escape
-    into the tape node / backward closure, so they are always fresh."""
-    batch, steps, hidden = xw.shape
-    dtype = xw.dtype
-    raw = np.empty((batch, steps, hidden), dtype)  # tanh pre-carry outputs
-    hs = raw if keep is None else np.empty((batch, steps, hidden), dtype)
-    pre = np.empty((batch, hidden), dtype)
-    return _rnn_scan_loop(xw, h0, w_h_data, keep, raw, hs, pre)
-
-
-def _rnn_forward_ws(xw, h0, w_h_data, keep):
-    batch, steps, hidden = xw.shape
-    dtype = xw.dtype
-    raw = np.empty((batch, steps, hidden), dtype)
-    hs = raw if keep is None else np.empty((batch, steps, hidden), dtype)
-    pre = workspace.take((batch, hidden), dtype, "rnn.pre")
-    return _rnn_scan_loop(xw, h0, w_h_data, keep, raw, hs, pre)
-
-
-def _rnn_backward_ref(grad, raw, keep, w_h_t, dtanh, dpre, dcarry):
-    """Kernel ``"rnn_scan_backward"`` core: returns ``(dpre, dh)``.
-
-    ``dpre`` may live in pooled scratch — the caller only derives fresh
-    staged gradients from it before the next kernel call can reuse the
-    buffer; ``dh`` is staged via a copy.
-    """
-    batch, steps, hidden = dpre.shape
-    ops.multiply(raw, raw, out=dtanh)
-    ops.subtract(1.0, dtanh, out=dtanh)
-    dh = np.zeros((batch, hidden), dpre.dtype)
+def _rnn_backward_ref(grad, raw, keep, w_h_t):
+    """Kernel ``"rnn_scan_backward"``: returns ``(dpre, dh)``."""
+    batch, steps, hidden = raw.shape
+    dtype = raw.dtype
+    dtanh = np.empty((batch, steps, hidden), dtype)
+    dpre = np.empty((batch, steps, hidden), dtype)
+    dcarry = np.empty((batch, hidden), dtype)
+    np.multiply(raw, raw, out=dtanh)
+    np.subtract(1.0, dtanh, out=dtanh)
+    dh = np.zeros((batch, hidden), dtype)
     for t in range(steps - 1, -1, -1):
-        ops.add(grad[:, t], dh, out=dcarry)
+        np.add(grad[:, t], dh, out=dcarry)
         if keep is not None:
             kt = keep[:, t]
             d_raw = dcarry * kt
@@ -120,34 +99,11 @@ def _rnn_backward_ref(grad, raw, keep, w_h_t, dtanh, dpre, dcarry):
         else:
             d_raw = dcarry
             carry_through = None
-        dp = ops.multiply(d_raw, dtanh[:, t], out=dpre[:, t])
-        ops.matmul(dp, w_h_t, out=dh)
+        dp = np.multiply(d_raw, dtanh[:, t], out=dpre[:, t])
+        np.matmul(dp, w_h_t, out=dh)
         if carry_through is not None:
             dh += carry_through
     return dpre, dh
-
-
-def _rnn_backward_alloc(grad, raw, keep, w_h_t):
-    batch, steps, hidden = raw.shape
-    dtype = raw.dtype
-    return _rnn_backward_ref(grad, raw, keep, w_h_t,
-                             np.empty((batch, steps, hidden), dtype),
-                             np.empty((batch, steps, hidden), dtype),
-                             np.empty((batch, hidden), dtype))
-
-
-def _rnn_backward_ws(grad, raw, keep, w_h_t):
-    batch, steps, hidden = raw.shape
-    dtype = raw.dtype
-    return _rnn_backward_ref(
-        grad, raw, keep, w_h_t,
-        workspace.take((batch, steps, hidden), dtype, "rnn.dtanh"),
-        workspace.take((batch, steps, hidden), dtype, "rnn.dpre"),
-        workspace.take((batch, hidden), dtype, "rnn.dcarry"))
-
-
-register_kernel("workspace", "rnn_scan_forward", _rnn_forward_ws)
-register_kernel("workspace", "rnn_scan_backward", _rnn_backward_ws)
 
 
 def fused_rnn_scan(x: Tensor, h0: Tensor, w_x: Tensor, w_h: Tensor,
@@ -177,13 +133,13 @@ def fused_rnn_scan(x: Tensor, h0: Tensor, w_x: Tensor, w_h: Tensor,
         grad = np.asarray(grad)
         # tanh derivative for every step at once (one full-array pass);
         # only the sequential dh propagation stays in the loop.
-        dpre, dh = call_kernel("rnn_scan_backward", _rnn_backward_alloc,
+        dpre, dh = call_kernel("rnn_scan_backward", _rnn_backward_ref,
                                grad, raw, keep, w_h_data.T)
         flat_dpre = dpre.reshape(batch * steps, hidden)
         stage(x, (flat_dpre @ w_x.data.T).reshape(batch, steps, in_dim))
-        stage(h0, dh.copy())
+        stage(h0, dh)
         stage(w_x, x.data.reshape(batch * steps, in_dim).T @ flat_dpre)
-        h_prev = ops.concatenate([h0.data[:, None, :], hs[:, :-1]], axis=1)
+        h_prev = np.concatenate([h0.data[:, None, :], hs[:, :-1]], axis=1)
         stage(w_h, h_prev.reshape(batch * steps, hidden).T @ flat_dpre)
         # Bias grads reduce over B*T terms: accumulate in float64 (the
         # stage hand-off rounds once back to the compute dtype).
@@ -192,27 +148,36 @@ def fused_rnn_scan(x: Tensor, h0: Tensor, w_x: Tensor, w_h: Tensor,
     return _node(hs, (x, h0, w_x, w_h, bias), backward)
 
 
-def _gru_scan_loop(xg, xh, h0, w_gh, w_hh, keep, gates, cand_seq, hs,
-                   pre_g, pre_c, rh, mix_a, mix_b):
-    """The sequential GRU recurrence over preallocated buffers."""
-    batch, steps, hidden = cand_seq.shape
+def _gru_forward_ref(xg, xh, h0, w_gh, w_hh, keep):
+    """Kernel ``"gru_scan_forward"``: the GRU recurrence; returns
+    ``(gates, cand_seq, hs)``."""
+    batch, steps, hidden = xh.shape
+    dtype = xh.dtype
+    gates = np.empty((batch, steps, 2 * hidden), dtype)  # [r, z] per step
+    cand_seq = np.empty((batch, steps, hidden), dtype)  # h~ candidates
+    hs = np.empty((batch, steps, hidden), dtype)
+    pre_g = np.empty((batch, 2 * hidden), dtype)
+    pre_c = np.empty((batch, hidden), dtype)
+    rh = np.empty((batch, hidden), dtype)
+    mix_a = np.empty((batch, hidden), dtype)
+    mix_b = np.empty((batch, hidden), dtype)
     h = h0
     for t in range(steps):
         # r and z in one (B, H) @ (H, 2H) matmul + in-place sigmoid.
-        ops.matmul(h, w_gh, out=pre_g)
+        np.matmul(h, w_gh, out=pre_g)
         pre_g += xg[:, t]
         rz = sigmoid_forward(pre_g, out=gates[:, t])
         r, z = rz[:, :hidden], rz[:, hidden:]
-        ops.multiply(r, h, out=rh)
-        ops.matmul(rh, w_hh, out=pre_c)
+        np.multiply(r, h, out=rh)
+        np.matmul(rh, w_hh, out=pre_c)
         pre_c += xh[:, t]
-        cand = ops.tanh(pre_c, out=cand_seq[:, t])
+        cand = np.tanh(pre_c, out=cand_seq[:, t])
         # h' = (1 - z) * h + z * cand, buffered.
-        ops.subtract(1.0, z, out=mix_a)
+        np.subtract(1.0, z, out=mix_a)
         mix_a *= h
-        ops.multiply(z, cand, out=mix_b)
+        np.multiply(z, cand, out=mix_b)
         if keep is None:
-            h = ops.add(mix_a, mix_b, out=hs[:, t])
+            h = np.add(mix_a, mix_b, out=hs[:, t])
         else:
             h_new = mix_a + mix_b
             kt = keep[:, t]
@@ -221,51 +186,22 @@ def _gru_scan_loop(xg, xh, h0, w_gh, w_hh, keep, gates, cand_seq, hs,
     return gates, cand_seq, hs
 
 
-def _gru_forward_ref(xg, xh, h0, w_gh, w_hh, keep):
-    """Kernel ``"gru_scan_forward"``: returns ``(gates, cand_seq, hs)``
-    — all three escape into the backward closure, so always fresh."""
-    batch, steps, hidden = xh.shape
-    dtype = xh.dtype
-    gates = np.empty((batch, steps, 2 * hidden), dtype)  # [r, z] per step
-    cand_seq = np.empty((batch, steps, hidden), dtype)  # h~ candidates
-    hs = np.empty((batch, steps, hidden), dtype)
-    return _gru_scan_loop(xg, xh, h0, w_gh, w_hh, keep, gates, cand_seq, hs,
-                          np.empty((batch, 2 * hidden), dtype),
-                          np.empty((batch, hidden), dtype),
-                          np.empty((batch, hidden), dtype),
-                          np.empty((batch, hidden), dtype),
-                          np.empty((batch, hidden), dtype))
-
-
-def _gru_forward_ws(xg, xh, h0, w_gh, w_hh, keep):
-    batch, steps, hidden = xh.shape
-    dtype = xh.dtype
-    gates = np.empty((batch, steps, 2 * hidden), dtype)
-    cand_seq = np.empty((batch, steps, hidden), dtype)
-    hs = np.empty((batch, steps, hidden), dtype)
-    take = workspace.take
-    return _gru_scan_loop(xg, xh, h0, w_gh, w_hh, keep, gates, cand_seq, hs,
-                          take((batch, 2 * hidden), dtype, "gru.pre_g"),
-                          take((batch, hidden), dtype, "gru.pre_c"),
-                          take((batch, hidden), dtype, "gru.rh"),
-                          take((batch, hidden), dtype, "gru.mix_a"),
-                          take((batch, hidden), dtype, "gru.mix_b"))
-
-
-def _gru_backward_loop(grad, gates, cand_seq, hs, h0, w_gh_t, w_hh_t, keep,
-                       dsig, dtanh, dpre_g, dpre_h):
-    """The sequential GRU backward over preallocated buffers; returns
-    ``(dpre_g, dpre_h, dh)`` (the pre-activation grads may live in
-    pooled scratch — the caller derives fresh staged values)."""
+def _gru_backward_ref(grad, gates, cand_seq, hs, h0, w_gh_t, w_hh_t, keep):
+    """Kernel ``"gru_scan_backward"``: returns ``(dpre_g, dpre_h, dh)``."""
     batch, steps, hidden = cand_seq.shape
+    dtype = cand_seq.dtype
+    dsig = np.empty((batch, steps, 2 * hidden), dtype)
+    dtanh = np.empty((batch, steps, hidden), dtype)
+    dpre_g = np.empty((batch, steps, 2 * hidden), dtype)
+    dpre_h = np.empty((batch, steps, hidden), dtype)
     # Activation derivatives for every step in two full-array passes
     # (sigmoid: s*(1-s); tanh: 1-c^2); the loop keeps only the
     # sequential dh propagation.
-    ops.subtract(1.0, gates, out=dsig)
-    ops.multiply(gates, dsig, out=dsig)
-    ops.multiply(cand_seq, cand_seq, out=dtanh)
-    ops.subtract(1.0, dtanh, out=dtanh)
-    dh = np.zeros((batch, hidden), cand_seq.dtype)
+    np.subtract(1.0, gates, out=dsig)
+    np.multiply(gates, dsig, out=dsig)
+    np.multiply(cand_seq, cand_seq, out=dtanh)
+    np.subtract(1.0, dtanh, out=dtanh)
+    dh = np.zeros((batch, hidden), dtype)
     for t in range(steps - 1, -1, -1):
         h_prev = hs[:, t - 1] if t > 0 else h0
         rz, cand = gates[:, t], cand_seq[:, t]
@@ -281,43 +217,15 @@ def _gru_backward_loop(grad, gates, cand_seq, hs, h0, w_gh_t, w_hh_t, keep,
         dz = dnew * (cand - h_prev)
         dcand = dnew * z
         dh = dh + dnew * (1.0 - z)
-        dph = ops.multiply(dcand, dtanh[:, t], out=dpre_h[:, t])
+        dph = np.multiply(dcand, dtanh[:, t], out=dpre_h[:, t])
         d_rh = dph @ w_hh_t
         dh = dh + d_rh * r
         dpg = dpre_g[:, t]
-        ops.multiply(d_rh, h_prev, out=dpg[:, :hidden])
+        np.multiply(d_rh, h_prev, out=dpg[:, :hidden])
         dpg[:, hidden:] = dz
         dpg *= dsig[:, t]
         dh = dh + dpg @ w_gh_t
     return dpre_g, dpre_h, dh
-
-
-def _gru_backward_ref(grad, gates, cand_seq, hs, h0, w_gh_t, w_hh_t, keep):
-    """Kernel ``"gru_scan_backward"``: reference allocation strategy."""
-    batch, steps, hidden = cand_seq.shape
-    dtype = cand_seq.dtype
-    return _gru_backward_loop(grad, gates, cand_seq, hs, h0, w_gh_t, w_hh_t,
-                              keep,
-                              np.empty((batch, steps, 2 * hidden), dtype),
-                              np.empty((batch, steps, hidden), dtype),
-                              np.empty((batch, steps, 2 * hidden), dtype),
-                              np.empty((batch, steps, hidden), dtype))
-
-
-def _gru_backward_ws(grad, gates, cand_seq, hs, h0, w_gh_t, w_hh_t, keep):
-    batch, steps, hidden = cand_seq.shape
-    dtype = cand_seq.dtype
-    take = workspace.take
-    return _gru_backward_loop(
-        grad, gates, cand_seq, hs, h0, w_gh_t, w_hh_t, keep,
-        take((batch, steps, 2 * hidden), dtype, "gru.dsig"),
-        take((batch, steps, hidden), dtype, "gru.dtanh"),
-        take((batch, steps, 2 * hidden), dtype, "gru.dpre_g"),
-        take((batch, steps, hidden), dtype, "gru.dpre_h"))
-
-
-register_kernel("workspace", "gru_scan_forward", _gru_forward_ws)
-register_kernel("workspace", "gru_scan_backward", _gru_backward_ws)
 
 
 def fused_gru_scan(x: Tensor, h0: Tensor, w_r: Tensor, w_z: Tensor,
@@ -341,12 +249,12 @@ def fused_gru_scan(x: Tensor, h0: Tensor, w_r: Tensor, w_z: Tensor,
     # (+ bias folded in); the candidate projection is separate because
     # its recurrent input is r*h.
     x_flat = x.data.reshape(batch * steps, in_dim)
-    xg = (x_flat @ ops.concatenate([w_rx, w_zx], axis=1)).reshape(
+    xg = (x_flat @ np.concatenate([w_rx, w_zx], axis=1)).reshape(
         batch, steps, 2 * hidden)
-    xg += ops.concatenate([b_r.data, b_z.data])
+    xg += np.concatenate([b_r.data, b_z.data])
     xh = (x_flat @ w_hx).reshape(batch, steps, hidden)
     xh += b_h.data
-    w_gh = ops.concatenate([w_rh, w_zh], axis=1)  # (H, 2H) recurrent gates
+    w_gh = np.concatenate([w_rh, w_zh], axis=1)  # (H, 2H) recurrent gates
 
     gates, cand_seq, hs = call_kernel("gru_scan_forward", _gru_forward_ref,
                                       xg, xh, h0.data, w_gh, w_hh, keep)
@@ -360,16 +268,16 @@ def fused_gru_scan(x: Tensor, h0: Tensor, w_r: Tensor, w_z: Tensor,
         fg = dpre_g.reshape(flat, 2 * hidden)
         fr, fz = fg[:, :hidden], fg[:, hidden:]
         fh = dpre_h.reshape(flat, hidden)
-        stage(x, (fg @ ops.concatenate([w_rx, w_zx], axis=1).T
+        stage(x, (fg @ np.concatenate([w_rx, w_zx], axis=1).T
                   + fh @ w_hx.T).reshape(batch, steps, in_dim))
         stage(h0, dh)
-        h_prev_seq = ops.concatenate([h0.data[:, None, :], hs[:, :-1]], axis=1)
+        h_prev_seq = np.concatenate([h0.data[:, None, :], hs[:, :-1]], axis=1)
         hp = h_prev_seq.reshape(flat, hidden)
         rh_seq = (gates[:, :, :hidden] * h_prev_seq).reshape(flat, hidden)
         xf = x.data.reshape(flat, in_dim)
-        stage(w_r, ops.concatenate([hp.T @ fr, xf.T @ fr], axis=0))
-        stage(w_z, ops.concatenate([hp.T @ fz, xf.T @ fz], axis=0))
-        stage(w_h, ops.concatenate([rh_seq.T @ fh, xf.T @ fh], axis=0))
+        stage(w_r, np.concatenate([hp.T @ fr, xf.T @ fr], axis=0))
+        stage(w_z, np.concatenate([hp.T @ fz, xf.T @ fz], axis=0))
+        stage(w_h, np.concatenate([rh_seq.T @ fh, xf.T @ fh], axis=0))
         # Bias grads: float64 accumulation, rounded once at the stage.
         stage(b_r, fr.sum(axis=0, dtype=np.float64))
         stage(b_z, fz.sum(axis=0, dtype=np.float64))
@@ -381,9 +289,7 @@ def fused_gru_scan(x: Tensor, h0: Tensor, w_r: Tensor, w_z: Tensor,
 def _lstm_forward_ref(xi, xf, xo, xg, state0, w_ih, w_fh, w_oh, w_gh,
                       b_i, b_f, b_o, b_g, keep):
     """Kernel ``"lstm_scan_forward"``: returns ``(gates, tc_seq, states)``
-    (all escape into the backward closure).  No accelerated variant is
-    registered for the built-in backends — this seam exercises the
-    fall-back-to-reference path by construction."""
+    (all escape into the backward closure)."""
     batch, steps, hidden = xi.shape
     dtype = xi.dtype
     gates = np.empty((batch, steps, 4, hidden), dtype)  # i, f, o, g
@@ -395,14 +301,14 @@ def _lstm_forward_ref(xi, xf, xo, xg, state0, w_ih, w_fh, w_oh, w_gh,
         i = sigmoid_forward(h @ w_ih + xi[:, t] + b_i)
         f = sigmoid_forward(h @ w_fh + xf[:, t] + b_f)
         o = sigmoid_forward(h @ w_oh + xo[:, t] + b_o)
-        g = ops.tanh(h @ w_gh + xg[:, t] + b_g)
+        g = np.tanh(h @ w_gh + xg[:, t] + b_g)
         c_next = f * c + i * g
-        tc = ops.tanh(c_next)
+        tc = np.tanh(c_next)
         h_next = o * tc
         gates[:, t, 0], gates[:, t, 1] = i, f
         gates[:, t, 2], gates[:, t, 3] = o, g
         tc_seq[:, t] = tc
-        st_new = ops.concatenate([h_next, c_next], axis=-1)
+        st_new = np.concatenate([h_next, c_next], axis=-1)
         if keep is not None:
             kt = keep[:, t]
             st = st_new * kt + st * (1.0 - kt)
@@ -445,7 +351,7 @@ def _lstm_backward_ref(grad, gates, tc_seq, states, state0,
         dpre[:, t, 0], dpre[:, t, 1] = dpi, dpf
         dpre[:, t, 2], dpre[:, t, 3] = dpo, dpg
         dh_prev = dpi @ w_ih.T + dpf @ w_fh.T + dpo @ w_oh.T + dpg @ w_gh.T
-        dst = dst + ops.concatenate([dh_prev, dc_prev], axis=-1)
+        dst = dst + np.concatenate([dh_prev, dc_prev], axis=-1)
     return dpre, dst
 
 
@@ -493,14 +399,14 @@ def fused_lstm_scan(x: Tensor, state0: Tensor, w_i: Tensor, w_f: Tensor,
         stage(x, (fi @ w_ix.T + ff @ w_fx.T + fo @ w_ox.T + fg @ w_gx.T)
               .reshape(batch, steps, in_dim))
         stage(state0, dst)
-        st_prev_seq = ops.concatenate([state0.data[:, None, :], states[:, :-1]],
+        st_prev_seq = np.concatenate([state0.data[:, None, :], states[:, :-1]],
                                       axis=1)
         hp = st_prev_seq[:, :, :hidden].reshape(flat, hidden)
         xfm = x.data.reshape(flat, in_dim)
-        stage(w_i, ops.concatenate([hp.T @ fi, xfm.T @ fi], axis=0))
-        stage(w_f, ops.concatenate([hp.T @ ff, xfm.T @ ff], axis=0))
-        stage(w_o, ops.concatenate([hp.T @ fo, xfm.T @ fo], axis=0))
-        stage(w_g, ops.concatenate([hp.T @ fg, xfm.T @ fg], axis=0))
+        stage(w_i, np.concatenate([hp.T @ fi, xfm.T @ fi], axis=0))
+        stage(w_f, np.concatenate([hp.T @ ff, xfm.T @ ff], axis=0))
+        stage(w_o, np.concatenate([hp.T @ fo, xfm.T @ fo], axis=0))
+        stage(w_g, np.concatenate([hp.T @ fg, xfm.T @ fg], axis=0))
         # Bias grads: float64 accumulation, rounded once at the stage.
         stage(b_i, dpre[:, :, 0].sum(axis=(0, 1), dtype=np.float64))
         stage(b_f, dpre[:, :, 1].sum(axis=(0, 1), dtype=np.float64))
@@ -533,7 +439,7 @@ class RNNCell(Module):
         *compacted* subset of batch rows reproduce the per-row values of
         the full-batch tape path.
         """
-        return ops.tanh(x @ self.w_x.data + h @ self.w_h.data + self.bias.data)
+        return np.tanh(x @ self.w_x.data + h @ self.w_h.data + self.bias.data)
 
     def scan(self, x: Tensor, h0: Tensor, mask: np.ndarray | None = None) -> Tensor:
         """Fused whole-sequence scan (see :func:`fused_rnn_scan`)."""
@@ -579,11 +485,11 @@ class GRUCell(Module):
         decode sessions stepping a compacted subset of batch rows
         reproduce the per-row values of the full-batch tape path.
         """
-        hx = ops.concatenate([h, x], axis=-1)
+        hx = np.concatenate([h, x], axis=-1)
         r = sigmoid_forward(hx @ self.w_r.data + self.b_r.data)
         z = sigmoid_forward(hx @ self.w_z.data + self.b_z.data)
-        rhx = ops.concatenate([r * h, x], axis=-1)
-        h_tilde = ops.tanh(rhx @ self.w_h.data + self.b_h.data)
+        rhx = np.concatenate([r * h, x], axis=-1)
+        h_tilde = np.tanh(rhx @ self.w_h.data + self.b_h.data)
         return (1.0 - z) * h + z * h_tilde
 
     def scan(self, x: Tensor, h0: Tensor, mask: np.ndarray | None = None) -> Tensor:
@@ -636,14 +542,14 @@ class LSTMCell(Module):
         kernel); the exact operation-order mirror of :meth:`forward`."""
         h = state[:, : self.hidden_size]
         c = state[:, self.hidden_size:]
-        hx = ops.concatenate([h, x], axis=-1)
+        hx = np.concatenate([h, x], axis=-1)
         i = sigmoid_forward(hx @ self.w_i.data + self.b_i.data)
         f = sigmoid_forward(hx @ self.w_f.data + self.b_f.data)
         o = sigmoid_forward(hx @ self.w_o.data + self.b_o.data)
-        g = ops.tanh(hx @ self.w_g.data + self.b_g.data)
+        g = np.tanh(hx @ self.w_g.data + self.b_g.data)
         c_next = f * c + i * g
-        h_next = o * ops.tanh(c_next)
-        return ops.concatenate([h_next, c_next], axis=-1)
+        h_next = o * np.tanh(c_next)
+        return np.concatenate([h_next, c_next], axis=-1)
 
     def scan(self, x: Tensor, state0: Tensor, mask: np.ndarray | None = None) -> Tensor:
         """Fused whole-sequence scan (see :func:`fused_lstm_scan`)."""

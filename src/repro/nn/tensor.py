@@ -29,7 +29,6 @@ from typing import Callable
 import numpy as np
 
 from . import dtypes as _dtypes
-from .backend import ops
 
 __all__ = [
     "Tensor",
@@ -78,12 +77,12 @@ def sigmoid_forward(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     no values — it only keeps the kernel overflow-free.
     """
     limit = 500.0 if x.dtype == np.float64 else 80.0
-    z = ops.maximum(x, -limit, out=out)
-    ops.minimum(z, limit, out=z)
-    ops.negative(z, out=z)
-    ops.exp(z, out=z)
+    z = np.maximum(x, -limit, out=out)
+    np.minimum(z, limit, out=z)
+    np.negative(z, out=z)
+    np.exp(z, out=z)
     z += 1.0
-    return ops.reciprocal(z, out=z)
+    return np.reciprocal(z, out=z)
 
 
 def sigmoid_backward(grad: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -200,7 +199,7 @@ class Tensor:
             grad = np.ones_like(self.data)
         grad = np.asarray(grad, dtype=self.data.dtype)
         if grad.shape != self.data.shape:
-            grad = ops.broadcast_to(grad, self.data.shape).copy()
+            grad = np.broadcast_to(grad, self.data.shape).copy()
 
         # Iterative reverse topological order (avoids recursion limits on
         # long RNN tapes).
@@ -324,17 +323,17 @@ class Tensor:
                 stage(other, grad * a)
             elif a.ndim == 1:
                 # (k,) @ (..., k, n) -> (..., n)
-                stage(self, _unbroadcast(ops.expand_dims(grad, -2) @ ops.swapaxes(b, -1, -2), a.shape + (1,)).reshape(a.shape)
+                stage(self, _unbroadcast(np.expand_dims(grad, -2) @ np.swapaxes(b, -1, -2), a.shape + (1,)).reshape(a.shape)
                       if b.ndim > 2 else grad @ b.T)
-                stage(other, _unbroadcast(ops.expand_dims(a, -1) @ ops.expand_dims(grad, -2), b.shape))
+                stage(other, _unbroadcast(np.expand_dims(a, -1) @ np.expand_dims(grad, -2), b.shape))
             elif b.ndim == 1:
                 # (..., m, k) @ (k,) -> (..., m)
-                stage(self, ops.expand_dims(grad, -1) * b)
-                gb = ops.swapaxes(a, -1, -2) @ ops.expand_dims(grad, -1)
+                stage(self, np.expand_dims(grad, -1) * b)
+                gb = np.swapaxes(a, -1, -2) @ np.expand_dims(grad, -1)
                 stage(other, _unbroadcast(gb, b.shape + (1,)).reshape(b.shape))
             else:
-                stage(self, _unbroadcast(grad @ ops.swapaxes(b, -1, -2), a.shape))
-                stage(other, _unbroadcast(ops.swapaxes(a, -1, -2) @ grad, b.shape))
+                stage(self, _unbroadcast(grad @ np.swapaxes(b, -1, -2), a.shape))
+                stage(other, _unbroadcast(np.swapaxes(a, -1, -2) @ grad, b.shape))
 
         return _node(a @ b, (self, other), backward)
 
@@ -342,7 +341,7 @@ class Tensor:
     # elementwise nonlinearities
     # ------------------------------------------------------------------
     def exp(self) -> "Tensor":
-        out_data = ops.exp(self.data)
+        out_data = np.exp(self.data)
 
         def backward(grad, stage):
             stage(self, grad * out_data)
@@ -353,13 +352,13 @@ class Tensor:
         def backward(grad, stage):
             stage(self, grad / self.data)
 
-        return _node(ops.log(self.data), (self,), backward)
+        return _node(np.log(self.data), (self,), backward)
 
     def sqrt(self) -> "Tensor":
         return self**0.5
 
     def tanh(self) -> "Tensor":
-        out_data = ops.tanh(self.data)
+        out_data = np.tanh(self.data)
 
         def backward(grad, stage):
             stage(self, tanh_backward(grad, out_data))
@@ -388,7 +387,7 @@ class Tensor:
         def backward(grad, stage):
             stage(self, grad * mask)
 
-        return _node(ops.clip(self.data, low, high), (self,), backward)
+        return _node(np.clip(self.data, low, high), (self,), backward)
 
     # ------------------------------------------------------------------
     # reductions and shape ops
@@ -399,8 +398,8 @@ class Tensor:
             if axis is not None and not keepdims:
                 axes = (axis,) if isinstance(axis, int) else tuple(axis)
                 for a in sorted(a % self.data.ndim for a in axes):
-                    g = ops.expand_dims(g, a)
-            stage(self, ops.broadcast_to(g, self.shape).copy())
+                    g = np.expand_dims(g, a)
+            stage(self, np.broadcast_to(g, self.shape).copy())
 
         # Accumulate in float64 regardless of the compute dtype (loss
         # reductions must not drift term by term at float32); the node
@@ -422,8 +421,8 @@ class Tensor:
         def backward(grad, stage):
             g = np.asarray(grad)
             if axis is not None and not keepdims:
-                g = ops.expand_dims(g, axis)
-                full = ops.expand_dims(out_data, axis)
+                g = np.expand_dims(g, axis)
+                full = np.expand_dims(out_data, axis)
             else:
                 full = out_data
             mask = self.data == full
@@ -431,7 +430,7 @@ class Tensor:
                 denom = mask.sum(axis=axis, keepdims=True)
             else:
                 denom = mask.sum()
-            stage(self, ops.broadcast_to(g, self.shape) * mask / denom)
+            stage(self, np.broadcast_to(g, self.shape) * mask / denom)
 
         return _node(out_data, (self,), backward)
 
@@ -450,7 +449,7 @@ class Tensor:
             axes = tuple(reversed(range(self.data.ndim)))
         elif len(axes) == 1 and isinstance(axes[0], (tuple, list)):
             axes = tuple(axes[0])
-        inverse = tuple(ops.argsort(axes))
+        inverse = tuple(np.argsort(axes))
 
         def backward(grad, stage):
             stage(self, np.asarray(grad).transpose(inverse))
@@ -464,7 +463,7 @@ class Tensor:
     def __getitem__(self, key) -> "Tensor":
         def backward(grad, stage):
             full = np.zeros_like(self.data)
-            ops.add_at(full, key, grad)
+            np.add.at(full, key, grad)
             stage(self, full)
 
         return _node(self.data[key], (self,), backward)

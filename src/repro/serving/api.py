@@ -75,10 +75,8 @@ def decode_model(model, batch, log_mask, *, decode_batch: int | None = None,
 def fastapi_available() -> bool:
     """True when :mod:`fastapi` is importable.
 
-    The HTTP front-end is gated exactly like the numba array backend
-    (see :func:`repro.nn.backend._init_numba_backend`): FastAPI is an
-    optional accelerator of the same tier, never a hard dependency —
-    tier-1 runs hermetically with it absent, and the in-process
+    FastAPI is an optional dependency, never a hard one — tier-1 runs
+    hermetically with it absent, and the in-process
     :class:`~repro.serving.DecodeService` carries the full contract.
     """
     try:

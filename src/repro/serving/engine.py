@@ -94,7 +94,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..nn.backend import ops
 from ..nn.dtypes import get_compute_dtype
 
 __all__ = ["EmissionPolicy", "GreedyEmission", "PackedDecodeResult",
@@ -142,7 +141,7 @@ class GreedyEmission(EmissionPolicy):
     """Argmax emission — the paper's decode rule (Eq. 11)."""
 
     def select(self, log_probs: np.ndarray) -> np.ndarray:
-        return ops.argmax(log_probs, axis=-1).astype(np.int64)
+        return np.argmax(log_probs, axis=-1).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -257,7 +256,7 @@ class DecodeSession:
             # inert duplicate of the row keeps the live row on the GEMM
             # kernels, making one-row decodes bit-identical to the same
             # row inside any packed working set.
-            rows = ops.concatenate([rows, rows])
+            rows = np.concatenate([rows, rows])
             state = program.select_rows(state0, rows)
             live = np.array([True, False])
         elif rows.size == program.num_rows:
@@ -272,16 +271,16 @@ class DecodeSession:
         work = 0
         for t in range(horizon):
             alive = live & (lengths[rows] > t)
-            if not ops.array_equal(alive, live):  # a row just finished
-                keep = ops.flatnonzero(alive)
+            if not np.array_equal(alive, live):  # a row just finished
+                keep = np.flatnonzero(alive)
                 if keep.size == 0:
                     break
                 if keep.size == 1 and rows.size >= 2:
                     # BLAS guard: a 1-row working set would hit GEMV
                     # kernels whose bit-patterns differ from GEMM; carry
                     # one finished row as ballast instead.
-                    keep = ops.concatenate(
-                        [keep, ops.flatnonzero(~alive)[:1]])
+                    keep = np.concatenate(
+                        [keep, np.flatnonzero(~alive)[:1]])
                 rows = rows[keep]
                 live = alive[keep]
                 state = program.select_rows(state, keep)
@@ -301,10 +300,10 @@ class DecodeSession:
             # Autoregressive feedback: observed points are inputs, not
             # predictions — clamp them to their known values.
             observed = batch.observed_flags[rows, t]
-            prev_segments = ops.where(observed, batch.tgt_segments[rows, t],
+            prev_segments = np.where(observed, batch.tgt_segments[rows, t],
                                       step_segments)
-            prev_ratios = ops.where(observed, batch.tgt_ratios[rows, t],
-                                    ops.clip(step_ratios, 0.0, 1.0))
+            prev_ratios = np.where(observed, batch.tgt_ratios[rows, t],
+                                    np.clip(step_ratios, 0.0, 1.0))
         return work
 
 
@@ -467,7 +466,7 @@ class LiveDecodeSet:
         ratios = np.zeros((b, t), dtype=dtype)
         segments = np.zeros((b, t), dtype=np.int64)
         row_lengths = lengths[rows]
-        alive = ops.flatnonzero(row_lengths > 0)
+        alive = np.flatnonzero(row_lengths > 0)
         if alive.size == 0:
             # Nothing to decode (all-zero lengths): finish immediately.
             self._ready.append(LiveDecodeResult(
@@ -522,8 +521,8 @@ class LiveDecodeSet:
         state = template.join_states(states)
         joined = template.join_constants(constants)
         state, log_probs = template.advance_on(
-            state, joined, ops.concatenate(prev_seg),
-            ops.concatenate(prev_rat))
+            state, joined, np.concatenate(prev_seg),
+            np.concatenate(prev_rat))
         step_segments = self.policy.select(log_probs)
         step_ratios = template.emit(state, step_segments)
 
@@ -542,12 +541,12 @@ class LiveDecodeSet:
             # Autoregressive feedback: observed points are inputs, not
             # predictions — clamp them to their known values.
             observed = entry.batch.observed_flags[rows, t]
-            entry.prev_segments = ops.where(
+            entry.prev_segments = np.where(
                 observed, entry.batch.tgt_segments[rows, t],
                 step_segments[span])
-            entry.prev_ratios = ops.where(
+            entry.prev_ratios = np.where(
                 observed, entry.batch.tgt_ratios[rows, t],
-                ops.clip(step_ratios[span], 0.0, 1.0))
+                np.clip(step_ratios[span], 0.0, 1.0))
             entry.state = template.select_rows(
                 state, np.arange(offset, offset + n, dtype=np.int64))
             entry.t += 1
@@ -557,7 +556,7 @@ class LiveDecodeSet:
                     np.arange(offset, offset + n, dtype=np.int64))
             else:
                 retired = True
-                kept = ops.flatnonzero(keep)
+                kept = np.flatnonzero(keep)
                 kept_positions.append(offset + kept)
                 entry.rows = entry.rows[kept]
                 entry.lengths = entry.lengths[kept]
@@ -571,7 +570,7 @@ class LiveDecodeSet:
             offset += n
         self._entries = survivors
         if retired:
-            self.policy.compact(ops.concatenate(kept_positions))
+            self.policy.compact(np.concatenate(kept_positions))
         if not survivors:
             self._mux_key = None  # drained: the next admit re-keys the set
         return results

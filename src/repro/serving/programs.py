@@ -55,8 +55,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..nn.backend import call_kernel, ops
 from ..nn.functional import row_dot
+from ..nn.kernels import call_kernel
 
 __all__ = ["STDecodeProgram", "StackedRNNDecodeProgram", "AttnDecodeProgram"]
 
@@ -68,9 +68,8 @@ def _sparse_mask_step_ref(log_mask, t: int, rows: np.ndarray):
 def _mask_step(log_mask, t: int, rows: np.ndarray):
     """Slice decode step ``t`` of the mask over the compacted ``rows``.
 
-    Real CSR batch masks dispatch through the ``"sparse_mask_step"``
-    hot kernel, so the workspace backend can substitute its
-    per-working-set step plan (see :mod:`repro.core.mask`).
+    Real CSR batch masks run through the ``"sparse_mask_step"`` hot
+    kernel.
     """
     if isinstance(log_mask, np.ndarray):
         return log_mask[rows, t, :]
@@ -99,7 +98,7 @@ def _join_mask_parts(parts: list):
     if len(parts) == 1:
         return parts[0]
     if isinstance(parts[0], np.ndarray):
-        return ops.concatenate(parts)
+        return np.concatenate(parts)
     # Sparse step masks join through their own class (duck-typed so this
     # module never imports repro.core, which imports serving at load).
     return type(parts[0]).concat_rows(parts)
@@ -109,7 +108,7 @@ def _dense_log_softmax(masked: np.ndarray) -> np.ndarray:
     """Raw mirror of the tape ``log_softmax`` (same expressions,
     including the float64 normaliser accumulation)."""
     shifted = masked - masked.max(axis=-1, keepdims=True)
-    shifted -= ops.log(ops.exp(shifted).sum(axis=-1, keepdims=True,
+    shifted -= np.log(np.exp(shifted).sum(axis=-1, keepdims=True,
                                            dtype=np.float64))
     return shifted
 
@@ -156,11 +155,11 @@ class STDecodeProgram:
         return (self._extras[rows, t], _mask_step(self._mask, t, rows))
 
     def join_constants(self, parts: list) -> tuple:
-        return (ops.concatenate([p[0] for p in parts]),
+        return (np.concatenate([p[0] for p in parts]),
                 _join_mask_parts([p[1] for p in parts]))
 
     def join_states(self, states: list) -> _State:
-        return _State([ops.concatenate(arrays)
+        return _State([np.concatenate(arrays)
                        for arrays in zip(*(s.arrays for s in states))])
 
     def advance_on(self, state: _State, constants: tuple,
@@ -217,18 +216,18 @@ class StackedRNNDecodeProgram:
         return (self._extras[rows, t], _mask_step(self._mask, t, rows))
 
     def join_constants(self, parts: list) -> tuple:
-        return (ops.concatenate([p[0] for p in parts]),
+        return (np.concatenate([p[0] for p in parts]),
                 _join_mask_parts([p[1] for p in parts]))
 
     def join_states(self, states: list) -> _State:
-        return _State([ops.concatenate(arrays)
+        return _State([np.concatenate(arrays)
                        for arrays in zip(*(s.arrays for s in states))])
 
     def advance_on(self, state: _State, constants: tuple,
                    prev_segments: np.ndarray, prev_ratios: np.ndarray
                    ) -> tuple[_State, np.ndarray]:
         extras, mask_t = constants
-        z = ops.concatenate(
+        z = np.concatenate(
             [self._seg_table[prev_segments], prev_ratios[:, None], extras],
             axis=-1,
         )
@@ -302,11 +301,11 @@ class AttnDecodeProgram:
         return (self._extras[rows, t], _mask_step(self._mask, t, rows))
 
     def join_constants(self, parts: list) -> tuple:
-        return (ops.concatenate([p[0] for p in parts]),
+        return (np.concatenate([p[0] for p in parts]),
                 _join_mask_parts([p[1] for p in parts]))
 
     def join_states(self, states: list) -> _State:
-        return _State([ops.concatenate(arrays)
+        return _State([np.concatenate(arrays)
                        for arrays in zip(*(s.arrays for s in states))])
 
     def advance_on(self, state: _State, constants: tuple,
@@ -315,7 +314,7 @@ class AttnDecodeProgram:
         extras, mask_t = constants
         h, keys, keys_proj, obs_mask = state.arrays
         context = self._attention.step_array(h, keys, keys_proj, obs_mask)
-        z = ops.concatenate(
+        z = np.concatenate(
             [self._seg_table[prev_segments], prev_ratios[:, None],
              extras, context], axis=-1,
         )
@@ -336,7 +335,7 @@ class AttnDecodeProgram:
         h_e = _relu(state.cache + (seg_emb @ self._emb_proj.weight.data
                                    + self._emb_proj.bias.data))
         return _relu(
-            row_dot(ops.concatenate([h_e, seg_emb], axis=-1),
+            row_dot(np.concatenate([h_e, seg_emb], axis=-1),
                     self._ratio_head.weight.data)
             + self._ratio_head.bias.data
         )

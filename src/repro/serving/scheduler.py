@@ -30,7 +30,7 @@ half:
   drains monotonically, an empty set accepts any program, and an empty
   queue-head admission unblocks everything behind it.
 * **Per-request flag capture.**  Each request snapshots the process
-  flags (:class:`ServingFlags`: backend, compute/exchange dtype,
+  flags (:class:`ServingFlags`: compute/exchange dtype,
   fused kernels, sparse masks, packed decode) at ``submit`` time, the
   request's program is built under those flags, and every step of a
   working set runs under the flags its residents were admitted with —
@@ -76,7 +76,7 @@ class ServingFlags:
     The serving twin of the :class:`~repro.federated.runner.RoundTask`
     flag fields: captured where the request originates, re-asserted
     around every kernel call made on its behalf, and restored after —
-    so a long-lived service honours each caller's backend/dtype/fusion
+    so a long-lived service honours each caller's dtype/fusion
     configuration even when callers differ.
     """
 
@@ -85,7 +85,6 @@ class ServingFlags:
     packed_decode: bool = True
     exchange_dtype: str = "float64"
     compute_dtype: str = "float64"
-    backend: str = "reference"
 
     @classmethod
     def capture(cls) -> "ServingFlags":
@@ -96,7 +95,6 @@ class ServingFlags:
             packed_decode=nn.packed_decode_enabled(),
             exchange_dtype=np.dtype(nn.get_default_dtype()).name,
             compute_dtype=np.dtype(nn.get_compute_dtype()).name,
-            backend=nn.get_backend(),
         )
 
     @contextmanager
@@ -108,7 +106,6 @@ class ServingFlags:
             nn.set_packed_decode(self.packed_decode),
             nn.set_default_dtype(self.exchange_dtype),
             nn.set_compute_dtype(self.compute_dtype),
-            nn.set_backend(self.backend),
         )
         try:
             yield
@@ -118,7 +115,6 @@ class ServingFlags:
             nn.set_packed_decode(previous[2])
             nn.set_default_dtype(previous[3])
             nn.set_compute_dtype(previous[4])
-            nn.set_backend(previous[5])
 
 
 class RequestError(RuntimeError):

@@ -13,13 +13,6 @@ determinism, serial-vs-parallel identity, behavioural contracts) must
 pass at both precisions.  The ``float_tol`` fixture gives
 dtype-appropriate tolerances to tests that run at either precision.
 
-Backend forcing
----------------
-Setting ``REPRO_BACKEND=workspace`` (the CI backend leg) runs the whole
-suite through the workspace array backend
-(:func:`repro.nn.set_backend`), which is bitwise-identical to the
-reference backend — no test needs a skip marker for it.
-
 Fault-plan forcing
 ------------------
 Setting ``REPRO_FAULT_PLAN`` (the CI fault-injection leg, e.g.
@@ -76,13 +69,6 @@ from repro.spatial import grid_city
 _FORCED_DTYPE = os.environ.get("REPRO_COMPUTE_DTYPE")
 if _FORCED_DTYPE:
     nn.set_compute_dtype(_FORCED_DTYPE)
-
-# Backend forcing (the CI workspace-backend leg): REPRO_BACKEND is
-# honoured by repro.nn.backend itself at import, but re-asserting here
-# keeps the forcing explicit and fails fast on an unknown name.
-_FORCED_BACKEND = os.environ.get("REPRO_BACKEND")
-if _FORCED_BACKEND:
-    nn.set_backend(_FORCED_BACKEND)
 
 
 _FORCED_FAULT_PLAN = os.environ.get("REPRO_FAULT_PLAN")

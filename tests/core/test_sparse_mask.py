@@ -350,9 +350,9 @@ class TestRunnerShipsSparseFlag:
         # Probe the flag while the task runs: _ensure_model_dtype is the
         # first call the executor makes after asserting the task flags.
         observed = []
-        original_ensure = runner_mod._WorkerState._ensure_model_dtype
+        original_ensure = runner_mod.TaskExecutor._ensure_model_dtype
         monkeypatch.setattr(
-            runner_mod._WorkerState, "_ensure_model_dtype",
+            runner_mod.TaskExecutor, "_ensure_model_dtype",
             lambda self: (observed.append(nn.sparse_masks_enabled()),
                           original_ensure(self))[1])
         try:

@@ -11,9 +11,9 @@ with random request sets, arrival times, and working-set budgets,
 plus directed tests for the scheduler invariants (capacity, FIFO,
 drain, deadlines) and the single-row-ballast/admission seam.
 
-Backend and compute-dtype coverage comes from the environment forcing
-in the root conftest: CI's ``tier1-serving`` leg re-runs this file
-under ``REPRO_BACKEND=workspace`` + ``REPRO_COMPUTE_DTYPE=float32``.
+Compute-dtype coverage comes from the environment forcing in the root
+conftest: CI's ``tier1-serving`` leg re-runs this file under
+``REPRO_COMPUTE_DTYPE=float32``.
 """
 
 from __future__ import annotations

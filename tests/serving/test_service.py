@@ -3,8 +3,8 @@
 Covers the future-based submit/result API (results bitwise-equal to
 solo decodes), per-caller flag capture, queue-depth backpressure,
 admission deadlines, graceful drain/shutdown, and the FastAPI import
-gate — the suite runs hermetically with FastAPI absent (the numba
-pattern: optional dependency, never a test dependency) and smoke-tests
+gate — the suite runs hermetically with FastAPI absent (an optional
+dependency, never a test dependency) and smoke-tests
 the HTTP app when it happens to be installed.
 """
 
@@ -188,7 +188,7 @@ class TestShutdown:
 
 
 # ----------------------------------------------------------------------
-# FastAPI import gating (the numba pattern: optional, never required)
+# FastAPI import gating (optional, never required)
 # ----------------------------------------------------------------------
 class TestApiGating:
     def test_availability_probe_matches_importability(self):
