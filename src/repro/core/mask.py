@@ -45,7 +45,6 @@ import numpy as np
 from ..data.dataset import Batch
 from ..nn.dtypes import get_compute_dtype
 from ..nn.fusion import sparse_masks_enabled
-from ..spatial.geometry import Point
 from ..spatial.index import SegmentIndex
 from ..spatial.roadnet import RoadNetwork
 
@@ -306,8 +305,7 @@ class ConstraintMaskBuilder:
         for example in dataset.examples:
             quantised = np.floor_divide(example.guide_xy, _QUANT).astype(np.int64)
             keys.update(zip(quantised[:, 0].tolist(), quantised[:, 1].tolist()))
-        for key in sorted(keys):
-            self._register_key(key)
+        self._register_keys(sorted(keys))
         self._refresh_sorted_index()
         return len(self._key_to_row)
 
@@ -322,44 +320,42 @@ class ConstraintMaskBuilder:
             return np.zeros(self.network.num_segments)
         return self._row_for_key((int(x // _QUANT), int(y // _QUANT)))
 
-    def _register_key(self, key: tuple[int, int]) -> int:
-        """Pool row index of ``key``, querying the spatial index once."""
-        idx = self._key_to_row.get(key)
-        if idx is not None:
-            return idx
-        qx = (key[0] + 0.5) * _QUANT
-        qy = (key[1] + 0.5) * _QUANT
-        hits = self.index.query(Point(qx, qy), self.radius)
-        ids = np.array([seg.segment_id for seg, _ in hits], dtype=np.int64)
+    def _register_keys(self, keys: list[tuple[int, int]]) -> None:
+        """Add a pool row for each key of ``keys`` not seen before, in
+        order, with one batched spatial-index query for all of them."""
+        keys = [key for key in keys if key not in self._key_to_row]
+        if not keys:
+            return
+        centres = (np.array(keys, dtype=np.int64) + 0.5) * _QUANT
+        indptr, ids, dists = self.index.query(centres, self.radius)
         inv_gamma_sq = 1.0 / (self.gamma * self.gamma)
-        values = np.array(
-            [max(_FLOOR_LOG, -(dist * dist) * inv_gamma_sq) for _, dist in hits]
-        )
-        if ids.size:  # store rows id-sorted: deterministic CSR layout
-            order = np.argsort(ids)
-            ids = ids[order]
-            values = values[order]
-        idx = len(self._key_to_row)
-        if idx >= self._sp_starts.size:  # grow row arrays geometrically
-            capacity = max(64, 2 * self._sp_starts.size)
+        values = np.maximum(_FLOOR_LOG, -(dists * dists) * inv_gamma_sq)
+        lens = np.diff(indptr)
+        # Store rows id-sorted: deterministic CSR layout.
+        order = np.lexsort((ids, np.repeat(np.arange(len(keys)), lens)))
+        first = len(self._key_to_row)
+        rows_needed = first + len(keys)
+        # Grow geometrically, to the smallest 64 * 2**k (rows) or
+        # 1024 * 2**k (entries) that holds them.
+        if rows_needed > self._sp_starts.size:
+            capacity = 64 << ((rows_needed - 1) // 64).bit_length()
             self._sp_starts = np.resize(self._sp_starts, capacity)
             self._sp_lens = np.resize(self._sp_lens, capacity)
         needed = self._sp_used + ids.size
-        if needed > self._sp_indices.size:  # grow pools geometrically
-            capacity = max(1024, 2 * self._sp_indices.size, needed)
+        if needed > self._sp_indices.size:
+            capacity = 1024 << ((needed - 1) // 1024).bit_length()
             grown_idx = np.empty(capacity, dtype=np.int64)
             grown_idx[: self._sp_used] = self._sp_indices[: self._sp_used]
             self._sp_indices = grown_idx
             grown_val = np.empty(capacity)
             grown_val[: self._sp_used] = self._sp_values[: self._sp_used]
             self._sp_values = grown_val
-        self._sp_indices[self._sp_used:needed] = ids
-        self._sp_values[self._sp_used:needed] = values
-        self._sp_starts[idx] = self._sp_used
-        self._sp_lens[idx] = ids.size
+        self._sp_indices[self._sp_used:needed] = ids[order]
+        self._sp_values[self._sp_used:needed] = values[order]
+        self._sp_starts[first:rows_needed] = self._sp_used + indptr[:-1]
+        self._sp_lens[first:rows_needed] = lens
         self._sp_used = needed
-        self._key_to_row[key] = idx
-        return idx
+        self._key_to_row.update(zip(keys, range(first, rows_needed)))
 
     def _fill_dense_row(self, out: np.ndarray, idx: int) -> None:
         """Densify pool row ``idx`` into the ``(S,)`` array ``out``."""
@@ -373,9 +369,9 @@ class ConstraintMaskBuilder:
         cached = self._cache.get(key)
         if cached is not None:
             return cached
-        idx = self._register_key(key)
+        self._register_keys([key])
         log_mask = np.empty(self.network.num_segments)
-        self._fill_dense_row(log_mask, idx)
+        self._fill_dense_row(log_mask, self._key_to_row[key])
         log_mask.flags.writeable = False  # callers share this row
         self._cache[key] = log_mask
         return log_mask
@@ -420,8 +416,8 @@ class ConstraintMaskBuilder:
             # extra pass; positions shift when the index grows).
             miss_idx = np.flatnonzero(~hit)
             _, first = np.unique(encoded[miss_idx], return_index=True)
-            for i in miss_idx[first]:
-                self._register_key((int(kx[i]), int(ky[i])))
+            new = miss_idx[first]
+            self._register_keys(list(zip(kx[new].tolist(), ky[new].tolist())))
             self._refresh_sorted_index()
             position, _ = self._locate(encoded)
         return self._enc_rows[position]

@@ -71,19 +71,25 @@ class HMMMapMatcher:
     # ------------------------------------------------------------------
     def candidates_for(self, point: Point) -> list[MatchCandidate]:
         """Candidate matched positions for one GPS point."""
-        found = self.index.query(point, self.search_radius)
-        candidates = []
-        for seg, _ in found[: self.max_candidates]:
-            matched, ratio, dist = seg.project(point)
-            candidates.append(
-                MatchCandidate(seg.segment_id, ratio, dist, matched)
-            )
-        return candidates
+        return self._candidate_layers([point])[0]
+
+    def _candidate_layers(self, points: list[Point]
+                          ) -> list[list[MatchCandidate]]:
+        """Candidates of every point, from one batched index query."""
+        indptr, ids, _ = self.index.query([(p.x, p.y) for p in points],
+                                          self.search_radius)
+        layers = []
+        for point, lo, hi in zip(points, indptr[:-1].tolist(), indptr[1:].tolist()):
+            layers.append([])
+            for segment_id in ids[lo:min(hi, lo + self.max_candidates)].tolist():
+                matched, ratio, dist = self.network.segments[segment_id].project(point)
+                layers[-1].append(MatchCandidate(segment_id, ratio, dist, matched))
+        return layers
 
     def match(self, raw: RawTrajectory) -> MatchedTrajectory:
         """Match a raw trajectory onto the network via Viterbi decoding."""
         points = [p.as_point() for p in raw.points]
-        layers = [self.candidates_for(p) for p in points]
+        layers = self._candidate_layers(points)
         empty = [i for i, layer in enumerate(layers) if not layer]
         if empty:
             raise ValueError(f"no match candidates for points {empty}")

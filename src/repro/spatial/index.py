@@ -1,27 +1,28 @@
-"""Grid-bucket spatial index over road segments.
-
-The HMM map matcher, the constraint-mask layer, and the synthetic data
-generator all need "segments within radius of a point" queries; a
-uniform bucket grid makes them O(1)-ish instead of a linear scan over
-the whole network.
-"""
+"""Batched spatial index: segments within a radius of many points at
+once, for the HMM map matcher and the constraint-mask layer."""
 
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 
-from .geometry import Point, point_segment_distance
-from .roadnet import RoadNetwork, RoadSegment
+import numpy as np
+
+from .roadnet import RoadNetwork
 
 __all__ = ["SegmentIndex"]
 
+#: Cap on the bytes of each ``(block, S)`` temporary of one query pass.
+_BLOCK_BYTES = 1 << 20
+
 
 class SegmentIndex:
-    """Uniform-grid inverted index from buckets to road segments.
+    """Candidate table over the segments of one road network.
 
-    Each segment is registered in every bucket its bounding box overlaps
-    (inflated by nothing; query inflates by the search radius instead).
+    The table holds every segment's start point, direction vector,
+    squared length, and bucket-key rectangle: ``floor(c / bucket_size)``
+    of its bounding box.  A segment is a candidate for a query square
+    iff the two key rectangles overlap, which is exactly the set of
+    segments a uniform grid of ``bucket_size`` buckets would visit.
 
     Parameters
     ----------
@@ -37,65 +38,85 @@ class SegmentIndex:
             raise ValueError("bucket_size must be positive")
         self.network = network
         self.bucket_size = bucket_size
-        self._buckets: dict[tuple[int, int], list[RoadSegment]] = defaultdict(list)
-        for seg in network.segments:
-            for key in self._cover_keys(seg):
-                self._buckets[key].append(seg)
+        ends = np.array([(s.start.x, s.start.y, s.end.x, s.end.y)
+                         for s in network.segments]).reshape(-1, 4)
+        self._ax, self._ay = ends[:, 0].copy(), ends[:, 1].copy()
+        self._dx, self._dy = ends[:, 2] - ends[:, 0], ends[:, 3] - ends[:, 1]
+        self._length_sq = self._dx * self._dx + self._dy * self._dy
+        self._kx0, self._ky0 = self._keys(np.minimum(ends[:, :2], ends[:, 2:])).T
+        self._kx1, self._ky1 = self._keys(np.maximum(ends[:, :2], ends[:, 2:])).T
+        self._bbox = network.bounding_box()
+        # Points per block: a candidate costs at most 32 bytes in any one
+        # temporary (a boxed float in the math.hypot lists).
+        self._block = max(1, _BLOCK_BYTES // (32 * max(1, len(ends))))
 
-    def _key(self, x: float, y: float) -> tuple[int, int]:
-        return (int(math.floor(x / self.bucket_size)), int(math.floor(y / self.bucket_size)))
+    def _keys(self, xy: np.ndarray) -> np.ndarray:
+        return np.floor(xy / self.bucket_size).astype(np.int64)
 
-    def _cover_keys(self, seg: RoadSegment):
-        x0, x1 = sorted((seg.start.x, seg.end.x))
-        y0, y1 = sorted((seg.start.y, seg.end.y))
-        kx0, ky0 = self._key(x0, y0)
-        kx1, ky1 = self._key(x1, y1)
-        for kx in range(kx0, kx1 + 1):
-            for ky in range(ky0, ky1 + 1):
-                yield (kx, ky)
+    def query(self, points, radius: float
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Segments within ``radius`` of each of the ``(N, 2)`` ``points``.
 
-    def query(self, point: Point, radius: float) -> list[tuple[RoadSegment, float]]:
-        """Segments within ``radius`` of ``point``, sorted by distance.
-
-        Returns ``(segment, distance)`` pairs.  Falls back to widening
-        rings until at least one segment is found or the whole network
-        has been scanned, so callers always get a candidate.
+        Returns CSR hits ``(indptr, segment_ids, distances)``: point
+        ``i``'s hits are ``segment_ids[indptr[i]:indptr[i + 1]]``.  Each
+        row is sorted by distance, then by the first bucket ``(kx, ky)``
+        a bucket-grid scan meets the segment in, then by segment id.  A
+        point with no hit retries at doubled radii until it finds one or
+        the radius covers the whole network.
         """
         if radius <= 0:
             raise ValueError("radius must be positive")
-        results = self._query_once(point, radius)
+        xy = np.asarray(points, dtype=np.float64).reshape(-1, 2)
+        parts = [self._query_once(xy, np.arange(len(xy)), radius)]
+        pending = np.flatnonzero(np.bincount(parts[0][0], minlength=len(xy)) == 0)
+        # A radius that reaches every segment from each pending point; it
+        # only ends the loop on a network without segments.
+        lo, hi = np.array(self._bbox[:2]), np.array(self._bbox[2:])
+        far = np.maximum(abs(xy[pending] - lo), abs(xy[pending] - hi))
+        extent = 2.0 * np.maximum((hi - lo).max(), np.hypot(*far.T)) + self.bucket_size
         widened = radius
-        max_extent = self._max_extent(point)
-        while not results and widened < max_extent:
+        while pending.size:
             widened *= 2.0
-            results = self._query_once(point, widened)
-        return results
+            parts.append(self._query_once(xy, pending, widened))
+            keep = ~np.isin(pending, parts[-1][0]) & (widened < extent)
+            pending, extent = pending[keep], extent[keep]
+        rows, ids, dists = (np.concatenate(p) for p in zip(*parts))
+        order = np.argsort(rows, kind="stable")
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=len(xy)))])
+        return indptr, ids[order], dists[order]
 
-    def _query_once(self, point: Point, radius: float) -> list[tuple[RoadSegment, float]]:
-        kx0, ky0 = self._key(point.x - radius, point.y - radius)
-        kx1, ky1 = self._key(point.x + radius, point.y + radius)
-        seen: set[int] = set()
-        found: list[tuple[RoadSegment, float]] = []
-        for kx in range(kx0, kx1 + 1):
-            for ky in range(ky0, ky1 + 1):
-                for seg in self._buckets.get((kx, ky), ()):
-                    if seg.segment_id in seen:
-                        continue
-                    seen.add(seg.segment_id)
-                    d = point_segment_distance(point, seg.start, seg.end)
-                    if d <= radius:
-                        found.append((seg, d))
-        found.sort(key=lambda pair: pair[1])
-        return found
-
-    def _max_extent(self, point: Point) -> float:
-        """A radius guaranteed to reach the whole network from ``point``."""
-        min_x, min_y, max_x, max_y = self.network.bounding_box()
-        span = max(max_x - min_x, max_y - min_y)
-        # Distance from the query point to the farthest bbox corner.
-        reach = max(
-            math.hypot(point.x - cx, point.y - cy)
-            for cx in (min_x, max_x)
-            for cy in (min_y, max_y)
-        )
-        return 2.0 * max(span, reach) + self.bucket_size
+    def _query_once(self, xy: np.ndarray, points: np.ndarray, radius: float
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Hits of ``xy[points]`` at one radius as COO ``(row, id, dist)``."""
+        parts = []
+        # At least one pass, so no points still yield typed empty arrays.
+        for lo in range(0, max(points.size, 1), self._block):
+            block = points[lo:lo + self._block]
+            q_lo = self._keys(xy[block] - radius)
+            q_hi = self._keys(xy[block] + radius)
+            qi, seg = np.nonzero(
+                (self._kx0 <= q_hi[:, :1]) & (self._kx1 >= q_lo[:, :1])
+                & (self._ky0 <= q_hi[:, 1:]) & (self._ky1 >= q_lo[:, 1:]))
+            px, py = xy[block[qi], 0], xy[block[qi], 1]
+            ax, ay, dx, dy, length_sq = (self._ax[seg], self._ay[seg], self._dx[seg],
+                                         self._dy[seg], self._length_sq[seg])
+            # Same operation order as geometry.project_onto_segment; a
+            # degenerate segment projects every point onto its start.
+            t = np.divide((px - ax) * dx + (py - ay) * dy, length_sq,
+                          out=np.zeros(qi.size), where=length_sq > 0.0)
+            t = np.minimum(1.0, np.maximum(0.0, t))
+            ex, ey = px - (ax + t * dx), py - (ay + t * dy)
+            # Only candidates that may lie inside the radius pay for
+            # math.hypot; the margin covers the rounding of ex² + ey².
+            maybe = ex * ex + ey * ey <= radius * radius * (1.0 + 1e-6)
+            qi, seg = qi[maybe], seg[maybe]
+            dist = np.fromiter(
+                map(math.hypot, ex[maybe].tolist(), ey[maybe].tolist()),
+                dtype=np.float64, count=qi.size)
+            hit = dist <= radius
+            qi, seg, dist = qi[hit], seg[hit], dist[hit]
+            order = np.lexsort((seg, np.maximum(self._ky0[seg], q_lo[qi, 1]),
+                                np.maximum(self._kx0[seg], q_lo[qi, 0]),
+                                dist, qi))
+            parts.append((block[qi[order]], seg[order], dist[order]))
+        return tuple(np.concatenate(p) for p in zip(*parts))

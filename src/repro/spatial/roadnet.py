@@ -18,7 +18,7 @@ import heapq
 import math
 from dataclasses import dataclass
 
-from .geometry import Point, point_segment_distance, project_onto_segment
+from .geometry import Point, project_onto_segment
 
 __all__ = ["RoadSegment", "RoadNetwork"]
 
@@ -121,31 +121,6 @@ class RoadNetwork:
         xs = [p.x for p in self.nodes.values()]
         ys = [p.y for p in self.nodes.values()]
         return min(xs), min(ys), max(xs), max(ys)
-
-    # ------------------------------------------------------------------
-    # nearest-segment queries (linear scan; the map matcher uses the
-    # grid index in repro.mapmatch for bulk work)
-    # ------------------------------------------------------------------
-    def segments_near(self, point: Point, radius: float) -> list[tuple[RoadSegment, float]]:
-        """All segments within ``radius`` metres of ``point`` with distances."""
-        found = []
-        for seg in self.segments:
-            d = point_segment_distance(point, seg.start, seg.end)
-            if d <= radius:
-                found.append((seg, d))
-        found.sort(key=lambda pair: pair[1])
-        return found
-
-    def nearest_segment(self, point: Point) -> tuple[RoadSegment, float]:
-        """The closest segment to ``point`` and its distance."""
-        best = None
-        best_d = math.inf
-        for seg in self.segments:
-            d = point_segment_distance(point, seg.start, seg.end)
-            if d < best_d:
-                best, best_d = seg, d
-        assert best is not None
-        return best, best_d
 
     # ------------------------------------------------------------------
     # shortest paths

@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import pickle
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from repro.core import ConstraintMaskBuilder
 from repro.core.mask import _FLOOR_LOG
+from repro.spatial import Point, grid_city
+
+from index_oracle import BucketOracle
 
 
 class TestPointMasks:
@@ -119,3 +125,73 @@ class TestWorkerReconstruction:
     def test_warm_identity_and_empty_are_noops(self, tiny_world, tiny_dataset):
         identity = ConstraintMaskBuilder(tiny_world.network, identity=True)
         assert identity.warm(tiny_dataset) == 0
+
+
+class _GuideSet:
+    """The two fields ``warm`` reads from a dataset."""
+
+    def __init__(self, guide_xy: np.ndarray):
+        self.examples = [SimpleNamespace(guide_xy=g) for g in guide_xy]
+
+    def __len__(self) -> int:
+        return len(self.examples)
+
+
+class TestBatchedPool:
+    """Pool rows filled through one batched index query per call are
+    bitwise the rows the per-point bucket oracle gives key by key."""
+
+    @pytest.fixture(scope="class")
+    def big_world(self):
+        # 3 114 segments: a query block holds only a few points, so
+        # every call below crosses block boundaries.
+        network = grid_city(nx=28, ny=28, spacing=200.0, drop_prob=0.0,
+                            rng=np.random.default_rng(3))
+        x0, y0, x1, y1 = network.bounding_box()
+        rng = np.random.default_rng(4)
+        guide = np.stack([rng.uniform(x0 - 300.0, x1 + 300.0, (4, 25)),
+                          rng.uniform(y0 - 300.0, y1 + 300.0, (4, 25))],
+                         axis=-1)
+        return network, BucketOracle(network), guide
+
+    @staticmethod
+    def _assert_rows_match_oracle(builder, oracle):
+        inv_gamma_sq = 1.0 / (builder.gamma * builder.gamma)
+        assert builder._key_to_row
+        for key, row in builder._key_to_row.items():
+            hits = oracle.query(Point((key[0] + 0.5) * 25.0,
+                                      (key[1] + 0.5) * 25.0), builder.radius)
+            ids = np.array([seg.segment_id for seg, _ in hits], dtype=np.int64)
+            values = np.array([max(_FLOOR_LOG, -(d * d) * inv_gamma_sq)
+                               for _, d in hits])
+            order = np.argsort(ids)
+            lo = builder._sp_starts[row]
+            hi = lo + builder._sp_lens[row]
+            np.testing.assert_array_equal(builder._sp_indices[lo:hi], ids[order])
+            np.testing.assert_array_equal(
+                builder._sp_values[lo:hi].view(np.int64),
+                values[order].view(np.int64))
+
+    def test_cold_batch_rows(self, big_world):
+        network, oracle, guide = big_world
+        builder = ConstraintMaskBuilder(network, radius=400.0)
+        builder.build_sparse(SimpleNamespace(guide_xy=guide[:2]))
+        builder.build_sparse(SimpleNamespace(guide_xy=guide))  # partly warm
+        assert builder.index._block < len(builder._key_to_row)
+        self._assert_rows_match_oracle(builder, oracle)
+
+    def test_warm_and_pickled(self, big_world):
+        network, oracle, guide = big_world
+        builder = ConstraintMaskBuilder(network, radius=400.0)
+        builder.log_mask_for_point(*guide[0, 0])  # one key on its own
+        assert builder.warm(_GuideSet(guide)) == len(builder._key_to_row)
+        self._assert_rows_match_oracle(builder, oracle)
+        clone = pickle.loads(pickle.dumps(builder))
+        assert not clone._key_to_row
+        clone.warm(_GuideSet(guide))
+        self._assert_rows_match_oracle(clone, oracle)
+        batch = SimpleNamespace(guide_xy=guide)
+        expected, got = builder.build_sparse(batch), clone.build_sparse(batch)
+        np.testing.assert_array_equal(got.indptr, expected.indptr)
+        np.testing.assert_array_equal(got.indices, expected.indices)
+        np.testing.assert_array_equal(got.log_values, expected.log_values)

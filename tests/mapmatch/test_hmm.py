@@ -8,7 +8,9 @@ import pytest
 from repro.data import RawPoint, RawTrajectory
 from repro.data.synthetic import SyntheticConfig, generate_dataset
 from repro.mapmatch import HMMMapMatcher
-from repro.spatial import Point
+from repro.spatial import Point, SegmentIndex
+
+from index_oracle import BucketOracle, nearest_segment, oracle_query
 
 
 @pytest.fixture(scope="module")
@@ -71,7 +73,7 @@ class TestMatching:
             matched = matcher.match(raw)
             for mp, tp, rp in zip(matched.points, truth.points, raw.points):
                 hmm_hits += mp.segment_id == tp.segment_id
-                nearest, _ = network.nearest_segment(Point(rp.x, rp.y))
+                nearest, _ = nearest_segment(network, Point(rp.x, rp.y))
                 nearest_hits += nearest.segment_id == tp.segment_id
                 total += 1
         assert hmm_hits / total >= nearest_hits / total - 0.02
@@ -112,3 +114,34 @@ class TestModelComponents:
             lp_same = matcher.transition_logprob(cands[0], cands[0], straight)
             # Transition to itself has route distance 0 -> penalty = straight/beta.
             assert lp_same == pytest.approx(-straight / 40.0)
+
+
+class _CountingIndex:
+    def __init__(self, index: SegmentIndex):
+        self.index = index
+        self.calls = 0
+
+    def query(self, points, radius):
+        self.calls += 1
+        return self.index.query(points, radius)
+
+
+class _PerPointIndex:
+    """Answers a batch one point at a time through the bucket oracle."""
+
+    def __init__(self, network):
+        self.oracle = BucketOracle(network)
+
+    def query(self, points, radius):
+        return oracle_query(self.oracle, points, radius)
+
+
+def test_one_query_per_trajectory_matches_per_point_path(noisy_world):
+    network = noisy_world.network
+    counting = _CountingIndex(SegmentIndex(network))
+    batched = HMMMapMatcher(network, index=counting)
+    per_point = HMMMapMatcher(network, index=_PerPointIndex(network))
+    for raw in noisy_world.raw:
+        calls = counting.calls
+        assert batched.match(raw) == per_point.match(raw)
+        assert counting.calls == calls + 1

