@@ -14,6 +14,9 @@ the positive magnitude.
 
 from __future__ import annotations
 
+import hashlib
+import weakref
+
 import numpy as np
 
 from .. import nn
@@ -70,20 +73,53 @@ class MetaKnowledgeDistiller:
         self.lt = lt
         self.dynamic = dynamic  # False = fixed lambda0 (design ablation)
         self.teacher.eval()
+        # valid split -> (teacher fingerprint, compute dtype, acc_teacher).
+        # acc_teacher is a pure function of that key, so the frozen
+        # teacher is decoded once per client, not once per client-round.
+        # Weak keys: a collected split can never alias a new one through
+        # a recycled id(), and the memo never keeps a split alive.
+        self._teacher_accuracy = weakref.WeakKeyDictionary()
 
     def lambda_for_client(self, student: RecoveryModel,
                           valid_set: TrajectoryDataset) -> float:
         """Algorithm 2 lines 6-12: evaluate both models, derive lambda.
 
+        The student is decoded on every call.  The teacher is decoded
+        only on the first call for ``valid_set``, or again when its
+        parameter bytes or the compute dtype have changed since: the
+        memoised ``acc_teacher`` is served only under the same teacher
+        fingerprint and dtype, so a teacher trained in place or cast to
+        another precision is re-evaluated.
+
         With ``dynamic=False`` the Eq. 18 schedule is bypassed and the
         fixed base weight ``lambda0`` is used (the ablation that shows
-        why the adaptive schedule matters).
+        why the adaptive schedule matters); nothing is evaluated.
         """
         if not self.dynamic:
             return self.lambda0
-        acc_teacher = model_segment_accuracy(self.teacher, self.mask_builder, valid_set)
+        acc_teacher = self._teacher_accuracy_on(valid_set)
         acc_student = model_segment_accuracy(student, self.mask_builder, valid_set)
         return dynamic_lambda(self.lambda0, acc_teacher, acc_student, self.lt)
+
+    def _teacher_accuracy_on(self, valid_set: TrajectoryDataset) -> float:
+        fingerprint = self._teacher_fingerprint()
+        dtype = nn.get_compute_dtype()
+        cached = self._teacher_accuracy.get(valid_set)
+        if cached is not None and cached[:2] == (fingerprint, dtype):
+            return cached[2]
+        accuracy = model_segment_accuracy(self.teacher, self.mask_builder, valid_set)
+        self._teacher_accuracy[valid_set] = (fingerprint, dtype, accuracy)
+        return accuracy
+
+    def _teacher_fingerprint(self) -> bytes:
+        """Digest of the teacher's parameter bytes (dtype and shape
+        included), recomputed per call: no in-place write can go stale."""
+        digest = hashlib.sha256()
+        for param in self.teacher.parameters():
+            data = np.ascontiguousarray(param.data)
+            digest.update(f"{data.dtype.str}{data.shape}".encode())
+            digest.update(data)
+        return digest.digest()
 
     def distillation_term(self, student_output: ModelOutput, batch: Batch,
                           log_mask) -> Tensor:

@@ -102,16 +102,18 @@ def model_segment_accuracy(model: RecoveryModel, mask_builder: ConstraintMaskBui
 
     Runs through the packed decode engine (:mod:`repro.serving`) —
     this is the eval hook inside the federated loop's accuracy gates,
-    so it is as hot as training itself.
+    so it is as hot as training itself.  The model's train/eval mode is
+    restored afterwards, so a frozen teacher stays in eval mode.
     """
     if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
+    was_training = model.training
     model.eval()
     batch = dataset.full_batch()
     log_mask = mask_builder.build_for(batch, model)
     with nn.no_grad():
         output = decode_model(model, batch, log_mask)
-    model.train()
+    model.train(was_training)
     return evaluate_output_accuracy(output, batch)
 
 

@@ -489,7 +489,10 @@ class TaskExecutor:
         self.arena = (arena if arena is not None
                       else ModelArena(setup.model_factory, setup.mask_builder,
                                       setup.training, size=1))
-        self.teacher: RecoveryModel | None = None
+        # One distiller for the executor's lifetime: its teacher is
+        # rebound to each task's snapshot, and its acc_teacher memo
+        # survives across tasks (one teacher decode per client).
+        self.distiller: MetaKnowledgeDistiller | None = None
         self.teacher_space: FlatParameterSpace | None = None
 
     def _resolve_teacher_flat(self, task: RoundTask) -> np.ndarray | None:
@@ -507,14 +510,15 @@ class TaskExecutor:
                    ) -> MetaKnowledgeDistiller | None:
         if teacher_flat is None:
             return None
-        if self.teacher is None:
-            self.teacher = self.setup.model_factory()
-            self.teacher_space = FlatParameterSpace.from_module(self.teacher)
+        if self.distiller is None:
+            teacher = self.setup.model_factory()
+            self.teacher_space = FlatParameterSpace.from_module(teacher)
+            self.distiller = MetaKnowledgeDistiller(
+                teacher, self.mask_builder, lambda0=self.setup.lambda0,
+                lt=self.setup.lt, dynamic=self.setup.dynamic_lambda,
+            )
         self.teacher_space.set_flat(teacher_flat)
-        return MetaKnowledgeDistiller(
-            self.teacher, self.mask_builder, lambda0=self.setup.lambda0,
-            lt=self.setup.lt, dynamic=self.setup.dynamic_lambda,
-        )
+        return self.distiller
 
     def _ensure_model_dtype(self) -> None:
         """Align the executor's long-lived models with the active
@@ -527,7 +531,8 @@ class TaskExecutor:
         place keeps every existing FlatParameterSpace view valid.
         """
         dtype = nn.get_compute_dtype()
-        for model in (*self.arena.models(), self.teacher):
+        teacher = self.distiller.teacher if self.distiller is not None else None
+        for model in (*self.arena.models(), teacher):
             if model is None:
                 continue
             for p in model.parameters():
@@ -611,8 +616,8 @@ class ArenaRunner(RoundRunner):
     def run_round(self, tasks: Sequence[RoundTask],
                   distiller: MetaKnowledgeDistiller | None = None
                   ) -> list[RoundResult]:
-        # ``distiller`` is unused: the executor rebuilds one from the
-        # teacher snapshot, exactly like a pool worker.
+        # ``distiller`` is unused: the executor loads the teacher
+        # snapshot into its own distiller, exactly like a pool worker.
         return [self.executor.execute(task) for task in tasks]
 
     def run_round_tolerant(self, tasks: Sequence[RoundTask],
@@ -694,8 +699,9 @@ class ProcessPoolRunner(RoundRunner):
     def run_round(self, tasks: Sequence[RoundTask],
                   distiller: MetaKnowledgeDistiller | None = None
                   ) -> list[RoundResult]:
-        # ``distiller`` is unused: workers rebuild one from the task's
-        # teacher_flat so the live teacher never crosses the wire.
+        # ``distiller`` is unused: workers load the task's teacher
+        # snapshot into their own distiller, so the live teacher never
+        # crosses the wire.
         try:
             pool = self._ensure_pool()
             submitted = time.monotonic()

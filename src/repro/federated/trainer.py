@@ -236,6 +236,21 @@ class FederatedResult:
     global_test: TrajectoryDataset
 
 
+def _warn_if_teacher_untrained(result: TeacherTrainingResult,
+                               lt: float) -> None:
+    """Loud degradation: when Algorithm 1 rolls back every update, the
+    "teacher" is the untrained initialisation, and distilling from it
+    is not the paper's method."""
+    if any(result.accepted):
+        return
+    warnings.warn(
+        f"teacher pre-training accepted 0 of {len(result.accepted)} updates "
+        f"(best validation accuracy {max(result.accuracies):.4f} < "
+        f"lt={lt:g}); the clients distil from the untrained teacher",
+        RuntimeWarning, stacklevel=3,
+    )
+
+
 def build_federation(dataset: SyntheticDataset, num_clients: int,
                      keep_ratio: float, scheme: str = "by_driver",
                      rng: np.random.Generator | None = None,
@@ -615,6 +630,7 @@ class FederatedTrainer:
                 distiller = self._rebuild_distiller(resume.teacher_flat)
             else:
                 teacher_result = self._train_teacher()
+                _warn_if_teacher_untrained(teacher_result, self.config.lt)
                 distiller = MetaKnowledgeDistiller(
                     teacher_result.teacher, self.mask_builder,
                     lambda0=self.config.lambda0, lt=self.config.lt,

@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
+import gc
+import importlib
+
 import numpy as np
 import pytest
+
+from repro import nn
 
 from repro.core import (
     ConstraintMaskBuilder,
@@ -120,3 +126,112 @@ class TestLambdaForClient:
         trainer.train_epochs(tiny_dataset, epochs=6)
         after = distiller.lambda_for_client(student, tiny_dataset)
         assert after >= before
+
+
+@pytest.fixture()
+def teacher_decodes(monkeypatch):
+    """Counts the gate's ``model_segment_accuracy`` calls per model."""
+    distill = importlib.import_module("repro.core.distill")
+    evaluate = distill.model_segment_accuracy
+    calls = []
+
+    def counting(model, mask_builder, dataset):
+        calls.append((model, dataset))
+        return evaluate(model, mask_builder, dataset)
+
+    monkeypatch.setattr(distill, "model_segment_accuracy", counting)
+    return calls
+
+
+class TestTeacherAccuracyMemo:
+    @pytest.fixture()
+    def models(self, tiny_config):
+        return (LTEModel(tiny_config, np.random.default_rng(1)),
+                LTEModel(tiny_config, np.random.default_rng(2)))
+
+    def test_teacher_decoded_once_per_split(self, models, tiny_dataset,
+                                            tiny_mask, teacher_decodes):
+        teacher, student = models
+        distiller = MetaKnowledgeDistiller(teacher, tiny_mask, lt=0.0)
+        lams = [distiller.lambda_for_client(student, tiny_dataset)
+                for _ in range(3)]
+        assert lams[0] == lams[1] == lams[2]
+        decoded = [model for model, _ in teacher_decodes]
+        assert sum(model is teacher for model in decoded) == 1
+        assert sum(model is student for model in decoded) == 3
+
+    def test_each_split_is_decoded(self, models, tiny_dataset, tiny_mask,
+                                   teacher_decodes):
+        teacher, student = models
+        distiller = MetaKnowledgeDistiller(teacher, tiny_mask, lt=0.0)
+        other = tiny_dataset.split((0.5, 0.5, 0.0),
+                                   rng=np.random.default_rng(0))[0]
+        for split in (tiny_dataset, other, tiny_dataset, other):
+            distiller.lambda_for_client(student, split)
+        splits = [split for model, split in teacher_decodes
+                  if model is teacher]
+        assert len(splits) == 2
+        assert splits[0] is tiny_dataset and splits[1] is other
+
+    def test_in_place_teacher_change_re_decodes(self, models, tiny_dataset,
+                                                tiny_mask, teacher_decodes):
+        teacher, student = models
+        distiller = MetaKnowledgeDistiller(teacher, tiny_mask, lt=0.0)
+        distiller.lambda_for_client(student, tiny_dataset)
+        param = next(iter(teacher.parameters()))
+        param.data[(0,) * param.data.ndim] += 1.0
+        distiller.lambda_for_client(student, tiny_dataset)
+        assert sum(model is teacher for model, _ in teacher_decodes) == 2
+
+    def test_compute_dtype_is_part_of_the_key(self, models, tiny_dataset,
+                                              tiny_mask, teacher_decodes):
+        """Flipping the compute dtype re-decodes even when the teacher's
+        parameter bytes did not change."""
+        teacher, student = models
+        distiller = MetaKnowledgeDistiller(teacher, tiny_mask, lt=0.0)
+        other = "float32" if nn.get_compute_dtype() == np.float64 else "float64"
+        distiller.lambda_for_client(student, tiny_dataset)
+        with nn.use_compute_dtype(other):
+            distiller.lambda_for_client(student, tiny_dataset)
+        distiller.lambda_for_client(student, tiny_dataset)
+        assert sum(model is teacher for model, _ in teacher_decodes) == 3
+
+    def test_fixed_lambda_evaluates_nothing(self, models, tiny_dataset,
+                                            tiny_mask, teacher_decodes):
+        teacher, student = models
+        distiller = MetaKnowledgeDistiller(teacher, tiny_mask, lambda0=2.0,
+                                           dynamic=False)
+        assert distiller.lambda_for_client(student, tiny_dataset) == 2.0
+        assert teacher_decodes == []
+
+    def test_memo_does_not_keep_splits_alive(self, models, tiny_dataset,
+                                             tiny_mask):
+        teacher, student = models
+        distiller = MetaKnowledgeDistiller(teacher, tiny_mask)
+        split = tiny_dataset.split((0.5, 0.5, 0.0),
+                                   rng=np.random.default_rng(0))[0]
+        distiller.lambda_for_client(student, split)
+        assert len(distiller._teacher_accuracy) == 1
+        del split
+        gc.collect()
+        assert len(distiller._teacher_accuracy) == 0
+
+
+class TestFrozenTeacherMode:
+    def test_gate_leaves_teacher_in_eval_mode(self, tiny_config, tiny_dataset,
+                                              tiny_mask):
+        """The gate evaluation must not switch the teacher's dropout on:
+        distillation targets from a frozen teacher are deterministic."""
+        config = dataclasses.replace(tiny_config, dropout=0.3)
+        teacher = LTEModel(config, np.random.default_rng(1))
+        student = LTEModel(config, np.random.default_rng(2))
+        distiller = MetaKnowledgeDistiller(teacher, tiny_mask, lt=0.0)
+        distiller.lambda_for_client(student, tiny_dataset)
+        assert teacher.training is False
+        assert student.training is True  # the caller's mode, restored
+        batch = tiny_dataset.full_batch()
+        log_mask = tiny_mask.build(batch)
+        out = student(batch, log_mask)
+        first = distiller.distillation_term(out, batch, log_mask).item()
+        second = distiller.distillation_term(out, batch, log_mask).item()
+        assert first == second
