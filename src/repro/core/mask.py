@@ -139,65 +139,62 @@ class SparseConstraintMask:
         mask (used by the autoregressive inference loops).
 
         ``rows`` restricts the slice to the given batch-row indices (in
-        order), yielding an ``(len(rows), S)`` mask — this is how the
-        :class:`~repro.serving.DecodeSession` engine slices masks over
-        its compacted working set of still-active trajectories.
+        order), yielding an ``(len(rows), S)`` mask: :meth:`take` of the
+        flattened rows ``rows * T + t``, which is how the decode engine
+        slices masks over its compacted working set.
         """
         if len(self.shape) != 3:
             raise ValueError(f"step() needs a (B, T, S) mask, got {self.shape}")
-        b, steps, s = self.shape
+        b, steps, _ = self.shape
         if not 0 <= t < steps:
             raise IndexError(f"step {t} out of range for {steps} timesteps")
         if rows is None:
             rows = np.arange(b, dtype=np.int64)
         else:
             rows = np.asarray(rows, dtype=np.int64)
+        return self.take(rows * steps + t)
+
+    def take(self, flat_rows: np.ndarray) -> "SparseConstraintMask":
+        """The ``(len(flat_rows), S)`` mask of the given flattened rows,
+        in order (row ``b * T + t`` of a ``(B, T, S)`` mask)."""
+        s = self.shape[-1]
         if self.identity:
-            return SparseConstraintMask.identity_mask((rows.size, s))
-        flat_rows = rows * steps + t
+            return SparseConstraintMask.identity_mask((flat_rows.size, s))
         lens = self.indptr[flat_rows + 1] - self.indptr[flat_rows]
         indptr, pos = _gather_csr(self.indptr[flat_rows], lens)
-        return SparseConstraintMask((rows.size, s), indptr, self.indices[pos],
-                                    self.log_values[pos], floor=self.floor)
+        return SparseConstraintMask((flat_rows.size, s), indptr,
+                                    self.indices[pos], self.log_values[pos],
+                                    floor=self.floor)
 
     @staticmethod
-    def concat_rows(parts: list) -> "SparseConstraintMask":
-        """Row-concatenate 2-D step masks (the live-admission join).
-
-        Used by the continuous-batching mux to stack per-request
-        ``(A_i, S)`` decode-step masks into one ``(sum A_i, S)``
-        working-set mask; per-row CSR slices are preserved exactly, so
-        the joined mask is row-for-row bit-identical to its parts.  All
-        parts must agree on kind: identity masks only join identity
-        masks, and the ``floor`` must be uniform (mux keys enforce both
-        before admission).
-        """
-        if len(parts) == 1:
-            return parts[0]
-        s = int(parts[0].shape[-1])
-        total = 0
-        for part in parts:
-            if len(part.shape) != 2 or int(part.shape[-1]) != s:
-                raise ValueError(
-                    f"concat_rows needs (A, {s}) step masks, got {part.shape}")
-            total += int(part.shape[0])
-        if all(part.identity for part in parts):
-            return SparseConstraintMask.identity_mask((total, s))
-        if any(part.identity for part in parts):
-            raise ValueError(
-                "cannot concatenate identity and non-identity step masks")
-        floor = parts[0].floor
-        if any(part.floor != floor for part in parts):
-            raise ValueError(
-                "cannot concatenate step masks with different floors")
-        lens = np.concatenate([np.diff(part.indptr) for part in parts])
-        indptr = np.zeros(total + 1, dtype=np.int64)
-        np.cumsum(lens, out=indptr[1:])
-        return SparseConstraintMask(
-            (total, s), indptr,
-            np.concatenate([part.indices for part in parts]),
-            np.concatenate([part.log_values for part in parts]),
-            floor=floor)
+    def extend_rows(table, used: int,
+                    part: "SparseConstraintMask") -> "SparseConstraintMask":
+        """``table`` (None: a new one) with ``part``'s flattened rows
+        written from row ``used`` on: the continuous-batching live set's
+        working-set mask, gathered with one :meth:`take` per step.  CSR
+        slices are copied exactly; the arrays grow geometrically, so
+        rows past ``used + part.n_rows`` are spare capacity.  Parts must
+        agree on kind and ``floor`` (mux keys enforce both)."""
+        s = int(part.shape[-1])
+        rows = used + part.n_rows
+        if part.identity:
+            return SparseConstraintMask.identity_mask((rows, s))
+        if table is None:
+            indptr = np.zeros(1, dtype=np.int64)
+            indices, values = part.indices[:0], part.log_values[:0]
+        else:
+            indptr, indices, values = table.indptr, table.indices, table.log_values
+        start = int(indptr[used])
+        end = start + part.nnz
+        if rows >= indptr.size:
+            indptr = np.resize(indptr, 2 * rows + 1)
+        if end > indices.size:
+            indices, values = np.resize(indices, 2 * end), np.resize(values, 2 * end)
+        indptr[used + 1:rows + 1] = part.indptr[1:] + start
+        indices[start:end] = part.indices
+        values[start:end] = part.log_values
+        return SparseConstraintMask((indptr.size - 1, s), indptr, indices,
+                                    values, floor=part.floor)
 
     def to_dense(self) -> np.ndarray:
         """The equivalent dense log-mask array (tests / reference path).

@@ -28,6 +28,7 @@ from .programs import AttnDecodeProgram, StackedRNNDecodeProgram, STDecodeProgra
 from .scheduler import (
     ContinuousBatcher,
     DeadlineExceededError,
+    InvalidRequestError,
     RequestError,
     ServedResult,
     ServingFlags,
@@ -40,6 +41,6 @@ __all__ = [
     "LiveDecodeSet", "LiveDecodeResult", "MuxError",
     "STDecodeProgram", "StackedRNNDecodeProgram", "AttnDecodeProgram",
     "ContinuousBatcher", "ServingFlags", "ServedResult",
-    "RequestError", "DeadlineExceededError",
+    "RequestError", "DeadlineExceededError", "InvalidRequestError",
     "DecodeService", "QueueFullError", "ServiceClosedError",
 ]

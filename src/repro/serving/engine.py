@@ -72,18 +72,12 @@ solo-vs-batched *equality* rather than closeness.
 Live admission
 --------------
 :meth:`DecodeSession.open` returns a :class:`LiveDecodeSet` — the
-incremental dual of :meth:`DecodeSession.run`.  Where ``run`` packs a
-fixed request set and retires rows as they finish, a live set *also*
-accepts new rows mid-flight (:meth:`LiveDecodeSet.admit`) at step
-boundaries, each admitted entry stepping on its own per-entry clock.
-Admitted programs must be mutually *mux-compatible* (same program
-class, same per-row state geometry, same mask kind — see
-``mux_key`` in :mod:`repro.serving.programs`); every step the set
-concatenates the entries' per-step constants and states, advances them
-through one batched kernel call, and scatters the outputs back.
-Because every step kernel is row-local and GEMM bit-patterns are
-row-count independent (the two BLAS caveats above are already
-handled), an admitted row computes exactly the bits of its solo
+incremental dual of :meth:`DecodeSession.run` that *also* accepts new
+rows mid-flight (:meth:`LiveDecodeSet.admit`) at step boundaries, each
+row on its own clock.  Admitted programs must be *mux-compatible* (see
+``mux_key`` in :mod:`repro.serving.programs`).  Because every step
+kernel is row-local and GEMM bit-patterns are row-count independent,
+an admitted row computes exactly the bits of its solo
 :func:`~repro.serving.api.decode_model` call, no matter what else
 shares the working set or when it was admitted.
 """
@@ -331,76 +325,86 @@ class LiveDecodeResult:
     steps: int  # per-entry clock value when the last row retired
 
 
-class _LiveEntry:
-    """One admission's slice of the live working set (per-entry clock)."""
+def _extend(table, used: int, part):
+    """``table`` (None: a new one) with ``part``'s rows written from row
+    ``used`` on.  Arrays grow geometrically, so the table's length
+    counts spare capacity; masks extend through ``extend_rows``."""
+    if not isinstance(part, np.ndarray):
+        return type(part).extend_rows(table, used, part)
+    end = used + len(part)
+    if table is None:
+        table = np.empty((2 * end,) + part.shape[1:], dtype=part.dtype)
+    elif end > len(table):
+        table = np.resize(table, (2 * end,) + part.shape[1:])
+    table[used:end] = part
+    return table
 
-    __slots__ = ("handle", "program", "batch", "rows", "lengths", "t",
-                 "state", "prev_segments", "prev_ratios", "log_probs",
-                 "ratios", "segments", "work", "dense_rows")
 
-    def __init__(self, handle, program, batch, rows, lengths, state,
-                 prev_segments, prev_ratios, log_probs, ratios, segments,
-                 dense_rows):
-        self.handle = handle
-        self.program = program
-        self.batch = batch
-        self.rows = rows  # original batch-row ids still decoding
-        self.lengths = lengths  # aligned with ``rows``
-        self.t = 0  # this entry's clock (steps already taken)
-        self.state = state
-        self.prev_segments = prev_segments
-        self.prev_ratios = prev_ratios
-        self.log_probs = log_probs
-        self.ratios = ratios
-        self.segments = segments
-        self.work = 0
-        self.dense_rows = dense_rows
+@dataclass
+class _Block:
+    """One decoding admission's ``B * T`` rows of the live set's tables."""
 
-    def result(self) -> LiveDecodeResult:
-        return LiveDecodeResult(
-            handle=self.handle, log_probs=self.log_probs, ratios=self.ratios,
-            segments=self.segments, work_rows=self.work,
-            dense_rows=self.dense_rows, steps=self.t)
+    start: int  # first table row; moves when the tables compact
+    rows: int  # the program's B
+    steps: int  # the program's T
+    work: int  # live row-steps it will compute
+    dense_rows: int
+    horizon: int  # its clock when its last row retires
 
 
 class LiveDecodeSet:
     """A packed working set with mid-flight admission (the serving dual
     of per-step row retirement).
 
-    Rows join through :meth:`admit` — at step boundaries only, which is
-    the whole determinism story: between two :meth:`step` calls there
-    is no kernel in flight, so admission is pure working-set
-    bookkeeping (concatenating per-row state and constants), and the
-    next batched step computes every row's values exactly as a solo
-    decode of that row would (row-local kernels + row-count-stable
-    GEMM/:func:`~repro.nn.row_dot` dispatch, see the module
-    docstring).  Entries keep **per-entry clocks**: a request admitted
-    at global step 40 runs its own steps 0..len-1, sliced from *its
-    own* batch's constants, so its padded-width-dependent features are
-    exactly its solo features.
+    Per live row the set keeps the decoder state, the fed-back segment
+    and ratio, a clock, a length and a base offset, in admission order
+    (batch order within an admission).  Each admission's per-row-step
+    constants (the program's ``row_tables()``, the batch's observed
+    flags and targets) and its zero-filled outputs are appended once to
+    flat tables, row-step ``(b, t)`` at table row ``start + b * T + t``
+    and base ``start + b * T``.  A step gathers every row's constants
+    at ``base + clock`` — its own steps of its own batch — and scatters
+    the outputs with the same index vector, whatever the number of
+    admissions.  Retired blocks are dropped once they outnumber the
+    live ones (or an admission would grow the tables), so the tables
+    hold at most twice the live blocks' rows.
 
-    All admitted programs must be mux-compatible (equal ``mux_key()``);
-    the first admission into an empty set fixes the key, and draining
-    the set resets it.  ``max_batch`` bounds the number of *live* rows;
-    the transient BLAS-guard ballast row (carried whenever the live
-    total is exactly one) is compute-only and not part of the working
-    set: it holds no request, emits nothing, and is excluded from every
-    per-entry work counter.
+    The first admission into an empty set fixes the mux key; draining
+    the set resets it.  ``max_batch`` bounds the *live* rows; the
+    BLAS-guard ballast row (carried whenever exactly one row is live)
+    holds no request, emits nothing, and is in no work counter.
     """
 
     def __init__(self, policy: EmissionPolicy, max_batch: int | None = None):
         self.policy = policy
         self.max_batch = max_batch
-        self._entries: list[_LiveEntry] = []
         self._ready: list[LiveDecodeResult] = []
-        self._mux_key = None
         self._next_handle = 0
+        self._drained()
+
+    def _drained(self) -> None:
+        """Forget the (empty) working set: tables, key and template."""
+        self._blocks: dict[int, _Block] = {}  # by handle, admission order
+        self._mux_key = self._program = None  # the program: step template
+        self._tables: tuple = ()  # batch targets, outputs, row_tables()
+        self._used = 0  # table rows, retired blocks included
+        self._live_size = 0  # table rows of decoding admissions
+        self._state = None
+        self._set_per_row((np.empty(0, dtype=np.int64),) * 6)
+
+    def _per_row(self) -> tuple:
+        return (self._clock, self._length, self._base, self._owner,
+                self._prev_segments, self._prev_ratios)
+
+    def _set_per_row(self, arrays) -> None:
+        (self._clock, self._length, self._base, self._owner,
+         self._prev_segments, self._prev_ratios) = arrays
 
     # -- introspection --------------------------------------------------
     @property
     def rows(self) -> int:
         """Live rows currently in the working set (ballast excluded)."""
-        return sum(e.rows.size for e in self._entries)
+        return int(self._clock.size)
 
     @property
     def free_rows(self) -> int | None:
@@ -412,12 +416,12 @@ class LiveDecodeSet:
     @property
     def empty(self) -> bool:
         """True when nothing is decoding and no result is pending."""
-        return not self._entries and not self._ready
+        return not self._blocks and not self._ready
 
     @property
     def entries(self) -> int:
         """Number of admissions currently decoding."""
-        return len(self._entries)
+        return len(self._blocks)
 
     # -- admission ------------------------------------------------------
     def admit(self, program, batch, lengths: np.ndarray | None = None,
@@ -436,7 +440,7 @@ class LiveDecodeSet:
                 f"{type(program).__name__} has no mux_key(): it does not "
                 f"implement the live-admission program protocol")
         key = program.mux_key()
-        if self._entries and key != self._mux_key:
+        if self._blocks and key != self._mux_key:
             raise MuxError(
                 f"program is not mux-compatible with the live working set "
                 f"(admitted {self._mux_key!r}, got {key!r})")
@@ -462,115 +466,138 @@ class LiveDecodeSet:
         handle = self._next_handle
         self._next_handle += 1
         dtype = get_compute_dtype()
-        log_probs = np.zeros((b, t, program.num_classes), dtype=dtype)
-        ratios = np.zeros((b, t), dtype=dtype)
-        segments = np.zeros((b, t), dtype=np.int64)
+        outputs = (np.zeros((b * t, program.num_classes), dtype=dtype),
+                   np.zeros(b * t, dtype=dtype), np.zeros(b * t, dtype=np.int64))
         row_lengths = lengths[rows]
         alive = np.flatnonzero(row_lengths > 0)
         if alive.size == 0:
             # Nothing to decode (all-zero lengths): finish immediately.
             self._ready.append(LiveDecodeResult(
-                handle=handle, log_probs=log_probs, ratios=ratios,
-                segments=segments, work_rows=0,
-                dense_rows=rows.size * t, steps=0))
+                handle, outputs[0].reshape(b, t, -1), outputs[1].reshape(b, t),
+                outputs[2].reshape(b, t), 0, rows.size * t, 0))
             return handle
-        live_rows = rows[alive]
-        entry = _LiveEntry(
-            handle=handle, program=program, batch=batch, rows=live_rows,
-            lengths=row_lengths[alive],
-            state=program.select_rows(program.initial_state(), live_rows),
-            prev_segments=batch.tgt_segments[live_rows, 0].copy(),
-            prev_ratios=batch.tgt_ratios[live_rows, 0].copy(),
-            log_probs=log_probs, ratios=ratios, segments=segments,
-            dense_rows=rows.size * t)
-        self._entries.append(entry)
-        if self._mux_key is None:
-            self._mux_key = key
-        self.policy.extend(live_rows.size)
+        live_rows, live_lengths = rows[alive], row_lengths[alive]
+        if (self._blocks and self._used > self._live_size
+                and self._used + b * t > len(self._tables[0])):
+            self._compact_tables()  # make room before growing
+        parts = (batch.observed_flags.reshape(-1),
+                 batch.tgt_segments.reshape(-1), batch.tgt_ratios.reshape(-1),
+                 *outputs, *program.row_tables())
+        state = program.select_rows(program.initial_state(), live_rows)
+        per_row = (np.zeros(alive.size, dtype=np.int64), live_lengths,
+                   self._used + live_rows * t,
+                   np.full(alive.size, handle, dtype=np.int64),
+                   batch.tgt_segments[live_rows, 0],
+                   batch.tgt_ratios[live_rows, 0])
+        if self._blocks:
+            state = type(state)([np.concatenate(pair) for pair
+                                 in zip(self._state.arrays, state.arrays)])
+            per_row = tuple(map(np.concatenate, zip(self._per_row(), per_row)))
+        else:  # a new generation
+            self._tables = (None,) * len(parts)
+            self._mux_key, self._program = key, program
+        # The last fallible step (a malformed batch fails here): it
+        # writes past ``_used`` only, where no live row reads.
+        self._tables = tuple(_extend(table, self._used, part)
+                             for table, part in zip(self._tables, parts))
+        self._state = state
+        self._set_per_row(per_row)
+        self._blocks[handle] = _Block(
+            self._used, b, t, int(live_lengths.sum()), rows.size * t,
+            int(live_lengths.max()))
+        self._used += b * t
+        self._live_size += b * t
+        self.policy.extend(alive.size)
         return handle
 
     # -- stepping -------------------------------------------------------
     def step(self) -> list[LiveDecodeResult]:
         """Advance every live row one step; return finished admissions.
 
-        One batched kernel pass over the concatenated working set (each
-        entry's constants gathered at its own clock), then per-entry
-        output scatter, feedback, and retirement of rows that reached
-        their length.
+        One constants gather at every row's ``base + clock``, one
+        batched kernel pass, one vectorised output scatter and
+        feedback, and one compaction when rows retire.
         """
         results = self._ready
         self._ready = []
-        entries = self._entries
-        if not entries:
+        if not self._blocks:
             return results
-        template = entries[0].program
-        states = [e.state for e in entries]
-        constants = [e.program.step_constants(e.rows, e.t) for e in entries]
-        prev_seg = [e.prev_segments for e in entries]
-        prev_rat = [e.prev_ratios for e in entries]
-        total = sum(e.rows.size for e in entries)
-        if total == 1:
+        program, n = self._program, self.rows
+        at = self._base + self._clock
+        state, prev_seg, prev_rat, gather = (
+            self._state, self._prev_segments, self._prev_ratios, at)
+        if n == 1:
             # BLAS guard (see the module docstring): duplicate the sole
             # live row as inert trailing ballast so the step runs GEMM
             # kernels; its outputs are discarded below.
-            sole = entries[0]
-            states.append(sole.state)
-            constants.append(sole.program.step_constants(sole.rows, sole.t))
-            prev_seg.append(sole.prev_segments)
-            prev_rat.append(sole.prev_ratios)
-        state = template.join_states(states)
-        joined = template.join_constants(constants)
-        state, log_probs = template.advance_on(
-            state, joined, np.concatenate(prev_seg),
-            np.concatenate(prev_rat))
+            pair = np.zeros(2, dtype=np.int64)
+            state = program.select_rows(state, pair)
+            prev_seg, prev_rat, gather = prev_seg[pair], prev_rat[pair], at[pair]
+        observed, tgt_segments, tgt_ratios, out_logs, out_ratios, \
+            out_segments, *constants = self._tables
+        state, log_probs = program.advance_on(
+            state, program.constants_at(constants, gather), prev_seg, prev_rat)
         step_segments = self.policy.select(log_probs)
-        step_ratios = template.emit(state, step_segments)
-
-        survivors: list[_LiveEntry] = []
-        kept_positions: list[np.ndarray] = []
-        retired = False
-        offset = 0
-        for entry in entries:
-            n = entry.rows.size
-            span = slice(offset, offset + n)
-            rows, t = entry.rows, entry.t
-            entry.log_probs[rows, t] = log_probs[span]
-            entry.segments[rows, t] = step_segments[span]
-            entry.ratios[rows, t] = step_ratios[span]
-            entry.work += n
-            # Autoregressive feedback: observed points are inputs, not
-            # predictions — clamp them to their known values.
-            observed = entry.batch.observed_flags[rows, t]
-            entry.prev_segments = np.where(
-                observed, entry.batch.tgt_segments[rows, t],
-                step_segments[span])
-            entry.prev_ratios = np.where(
-                observed, entry.batch.tgt_ratios[rows, t],
-                np.clip(step_ratios[span], 0.0, 1.0))
-            entry.state = template.select_rows(
-                state, np.arange(offset, offset + n, dtype=np.int64))
-            entry.t += 1
-            keep = entry.lengths > entry.t
-            if keep.all():
-                kept_positions.append(
-                    np.arange(offset, offset + n, dtype=np.int64))
-            else:
-                retired = True
-                kept = np.flatnonzero(keep)
-                kept_positions.append(offset + kept)
-                entry.rows = entry.rows[kept]
-                entry.lengths = entry.lengths[kept]
-                entry.state = template.select_rows(entry.state, kept)
-                entry.prev_segments = entry.prev_segments[kept]
-                entry.prev_ratios = entry.prev_ratios[kept]
-            if entry.rows.size:
-                survivors.append(entry)
-            else:
-                results.append(entry.result())
-            offset += n
-        self._entries = survivors
-        if retired:
-            self.policy.compact(np.concatenate(kept_positions))
-        if not survivors:
-            self._mux_key = None  # drained: the next admit re-keys the set
+        step_ratios = program.emit(state, step_segments)[:n]
+        step_segments = step_segments[:n]
+        out_logs[at] = log_probs[:n]
+        out_segments[at] = step_segments
+        out_ratios[at] = step_ratios
+        # Autoregressive feedback: observed points are inputs, not
+        # predictions — clamp them to their known values.
+        clamp = observed[at]
+        self._prev_segments = np.where(clamp, tgt_segments[at], step_segments)
+        self._prev_ratios = np.where(clamp, tgt_ratios[at],
+                                     np.clip(step_ratios, 0.0, 1.0))
+        self._state = state if n > 1 else program.select_rows(state, pair[:1])
+        self._clock = self._clock + 1
+        done = self._clock >= self._length
+        if done.any():
+            results.extend(self._retire(done))
         return results
+
+    def _retire(self, done: np.ndarray) -> list[LiveDecodeResult]:
+        """Drop finished rows; emit every admission that lost its last."""
+        keep = np.flatnonzero(~done)
+        self.policy.compact(keep)
+        remaining = set(self._owner[keep].tolist())
+        finished = [handle for handle in dict.fromkeys(self._owner[done].tolist())
+                    if handle not in remaining]
+        self._state = self._program.select_rows(self._state, keep)
+        self._set_per_row(a[keep] for a in self._per_row())
+        results = [self._result(handle) for handle in finished]
+        if not self._blocks:
+            self._drained()  # the next admit re-keys the set
+        elif self._used - self._live_size > self._live_size:
+            self._compact_tables()
+        return results
+
+    def _result(self, handle: int) -> LiveDecodeResult:
+        block = self._blocks.pop(handle)
+        b, t = block.rows, block.steps
+        self._live_size -= b * t
+        log_probs, ratios, segments = (
+            table[block.start:block.start + b * t].copy()
+            for table in self._tables[3:6])
+        return LiveDecodeResult(
+            handle, log_probs.reshape(b, t, -1), ratios.reshape(b, t),
+            segments.reshape(b, t), block.work, block.dense_rows,
+            block.horizon)
+
+    def _compact_tables(self) -> None:
+        """Drop retired blocks from the tables (rows keep their order)."""
+        keep, shifts, start = [], [], 0
+        for block in self._blocks.values():
+            size = block.rows * block.steps
+            keep.append(np.arange(block.start, block.start + size))
+            shifts.append(block.start - start)
+            block.start = start
+            start += size
+        keep = np.concatenate(keep)
+        self._tables = tuple(_extend(table, 0, table[keep] if isinstance(
+            table, np.ndarray) else table.take(keep)) for table in self._tables)
+        # Rows are grouped by admission, in admission order, and every
+        # decoding admission still owns at least one row.
+        counts = np.unique(self._owner, return_counts=True)[1]
+        self._base = self._base - np.repeat(shifts, counts)
+        self._used = start

@@ -27,10 +27,10 @@ active-row compaction cheap.
 Mux protocol (live admission)
 -----------------------------
 On top of the stepping protocol every program implements the *mux*
-extension :class:`~repro.serving.LiveDecodeSet` drives, which factors
-``advance`` into a per-row-constants gather and a pure batched step so
-rows from **different** programs (different requests, different padded
-widths) can share one kernel pass:
+extension :class:`~repro.serving.LiveDecodeSet` drives.  It factors
+``advance`` into a gather of per-row constants and a pure batched step,
+so rows from **different** programs (different requests, different
+padded widths) share one kernel pass:
 
 ``mux_key()``
     Hashable compatibility key.  Two programs may be joined iff their
@@ -38,17 +38,20 @@ widths) can share one kernel pass:
     identity — one frozen model per live set), same per-row state
     geometry (e.g. the attention programs' encoder width ``To``), and
     the same mask representation.
-``step_constants(rows, t)``
-    The per-row constants ``advance`` would slice at ``(rows, t)`` —
-    each entry gathers these at its *own* clock ``t``.
-``join_constants(parts)`` / ``join_states(states)``
-    Row-concatenate constants / states from mux-compatible programs.
+``row_tables()``
+    The per-row-step constants as flat tables over the program's
+    ``B * T`` row-steps (row ``b * T + t``): the auxiliary step features
+    and the constraint mask.  The live set appends them to its own
+    tables once, at admission.
+``constants_at(tables, flat_rows)``
+    The step constants of any row-steps of (joined) tables: one feature
+    gather and one mask gather.
 ``advance_on(state, constants, prev_segments, prev_ratios)``
-    The batched step on pre-gathered constants; ``advance`` is
-    literally ``advance_on(state, step_constants(rows, t), ...)``, so
-    the joined step runs the exact expressions of every solo step and
-    concat/split is bitwise-neutral (all step math is batched GEMM +
-    row-local elementwise).
+    The batched step on gathered constants; ``advance`` is
+    ``advance_on`` on the program's own tables, so the joined step runs
+    the exact expressions of every solo step (all step math is batched
+    GEMM + row-local elementwise).  State ``arrays`` are per-row, so
+    the live set joins and compacts them row-wise.
 """
 
 from __future__ import annotations
@@ -61,22 +64,13 @@ from ..nn.kernels import call_kernel
 __all__ = ["STDecodeProgram", "StackedRNNDecodeProgram", "AttnDecodeProgram"]
 
 
-def _sparse_mask_step_ref(log_mask, t: int, rows: np.ndarray):
-    return log_mask.step(t, rows)
-
-
-def _mask_step(log_mask, t: int, rows: np.ndarray):
-    """Slice decode step ``t`` of the mask over the compacted ``rows``.
-
-    Real CSR batch masks run through the ``"sparse_mask_step"`` hot
-    kernel.
-    """
+def _mask_rows(log_mask, flat_rows: np.ndarray):
+    """The rows of a flat mask table, in order; CSR masks gather
+    through the ``"sparse_mask_step"`` hot kernel."""
     if isinstance(log_mask, np.ndarray):
-        return log_mask[rows, t, :]
-    if log_mask.identity or len(log_mask.shape) != 3:
-        return log_mask.step(t, rows)
-    return call_kernel("sparse_mask_step", _sparse_mask_step_ref,
-                       log_mask, t, rows)
+        return log_mask[flat_rows]
+    return call_kernel("sparse_mask_step", type(log_mask).take, log_mask,
+                       flat_rows)
 
 
 def _mask_kind(log_mask) -> tuple:
@@ -91,17 +85,6 @@ def _mask_kind(log_mask) -> tuple:
         return ("identity", log_mask.shape[-1])
     return ("sparse", float(log_mask.floor), log_mask.log_values.dtype.str,
             log_mask.shape[-1])
-
-
-def _join_mask_parts(parts: list):
-    """Row-concatenate per-entry mask steps (dense or duck-typed sparse)."""
-    if len(parts) == 1:
-        return parts[0]
-    if isinstance(parts[0], np.ndarray):
-        return np.concatenate(parts)
-    # Sparse step masks join through their own class (duck-typed so this
-    # module never imports repro.core, which imports serving at load).
-    return type(parts[0]).concat_rows(parts)
 
 
 def _dense_log_softmax(masked: np.ndarray) -> np.ndarray:
@@ -128,39 +111,56 @@ class _State:
         self.cache = cache  # advance -> emit carry (not gathered)
 
 
-class STDecodeProgram:
+class _Program:
+    """What every program shares: the ``(B, T, E)`` auxiliary step
+    features and the ``(B, T, S)`` mask (dense or CSR), kept as flat
+    row-step tables.  Subclasses add ``initial_state``, ``advance_on``,
+    ``emit`` and the family part of the mux key."""
+
+    def __init__(self, extras: np.ndarray, log_mask, num_classes: int):
+        self.num_rows = int(extras.shape[0])
+        self.num_steps = int(extras.shape[1])
+        self.num_classes = int(num_classes)
+        self._mux_tail = (int(extras.shape[-1]), _mask_kind(log_mask))
+        if isinstance(log_mask, np.ndarray):
+            log_mask = log_mask.reshape(-1, log_mask.shape[-1])
+        self._tables = (extras.reshape(-1, extras.shape[-1]), log_mask)
+
+    def select_rows(self, state: _State, keep: np.ndarray) -> _State:
+        return _State([a[keep] for a in state.arrays])
+
+    def mux_key(self) -> tuple:
+        return self._family_key() + self._mux_tail
+
+    def row_tables(self) -> tuple:
+        return self._tables
+
+    @staticmethod
+    def constants_at(tables: tuple, flat_rows: np.ndarray) -> tuple:
+        extras, mask = tables
+        return (extras[flat_rows], _mask_rows(mask, flat_rows))
+
+    def advance(self, state: _State, rows: np.ndarray, t: int,
+                prev_segments: np.ndarray, prev_ratios: np.ndarray
+                ) -> tuple[_State, np.ndarray]:
+        constants = self.constants_at(self._tables, rows * self.num_steps + t)
+        return self.advance_on(state, constants, prev_segments, prev_ratios)
+
+
+class STDecodeProgram(_Program):
     """LTE decode: the ST-operator's compacted-state step kernels."""
 
     def __init__(self, operator, h0: np.ndarray, extras: np.ndarray,
                  log_mask):
+        super().__init__(extras, log_mask, operator.num_segments)
         self.operator = operator
         self._h0 = h0  # (B, H) encoder state
-        self._extras = extras  # (B, T, extra_inputs)
-        self._mask = log_mask  # dense (B, T, S) or SparseConstraintMask
-        self.num_rows = int(extras.shape[0])
-        self.num_steps = int(extras.shape[1])
-        self.num_classes = int(operator.num_segments)
 
     def initial_state(self) -> _State:
         return _State([self._h0 for _ in range(self.operator.num_blocks)])
 
-    def select_rows(self, state: _State, keep: np.ndarray) -> _State:
-        return _State([h[keep] for h in state.arrays])
-
-    def mux_key(self) -> tuple:
-        return ("st", id(self.operator), int(self._extras.shape[-1]),
-                _mask_kind(self._mask))
-
-    def step_constants(self, rows: np.ndarray, t: int) -> tuple:
-        return (self._extras[rows, t], _mask_step(self._mask, t, rows))
-
-    def join_constants(self, parts: list) -> tuple:
-        return (np.concatenate([p[0] for p in parts]),
-                _join_mask_parts([p[1] for p in parts]))
-
-    def join_states(self, states: list) -> _State:
-        return _State([np.concatenate(arrays)
-                       for arrays in zip(*(s.arrays for s in states))])
+    def _family_key(self) -> tuple:
+        return ("st", id(self.operator))
 
     def advance_on(self, state: _State, constants: tuple,
                    prev_segments: np.ndarray, prev_ratios: np.ndarray
@@ -171,17 +171,11 @@ class STDecodeProgram:
         )
         return _State(states, h_d), log_probs
 
-    def advance(self, state: _State, rows: np.ndarray, t: int,
-                prev_segments: np.ndarray, prev_ratios: np.ndarray
-                ) -> tuple[_State, np.ndarray]:
-        return self.advance_on(state, self.step_constants(rows, t),
-                               prev_segments, prev_ratios)
-
     def emit(self, state: _State, segments: np.ndarray) -> np.ndarray:
         return self.operator.step_emit(state.cache, segments)
 
 
-class StackedRNNDecodeProgram:
+class StackedRNNDecodeProgram(_Program):
     """RNN+FL decode: stacked Elman cells, independent linear heads.
 
     The ratio head reads the top cell state directly (it does not
@@ -191,37 +185,18 @@ class StackedRNNDecodeProgram:
 
     def __init__(self, seg_table: np.ndarray, cells, seg_head, ratio_head,
                  h0: np.ndarray, extras: np.ndarray, log_mask: np.ndarray):
+        super().__init__(extras, log_mask, seg_head.out_features)
         self._seg_table = seg_table  # (S, E) embedding rows
         self._cells = list(cells)
         self._seg_head = seg_head
         self._ratio_head = ratio_head
         self._h0 = h0
-        self._extras = extras
-        self._mask = log_mask
-        self.num_rows = int(extras.shape[0])
-        self.num_steps = int(extras.shape[1])
-        self.num_classes = int(seg_head.out_features)
 
     def initial_state(self) -> _State:
         return _State([self._h0 for _ in self._cells])
 
-    def select_rows(self, state: _State, keep: np.ndarray) -> _State:
-        return _State([h[keep] for h in state.arrays])
-
-    def mux_key(self) -> tuple:
-        return ("rnn", id(self._seg_head), len(self._cells),
-                int(self._extras.shape[-1]), _mask_kind(self._mask))
-
-    def step_constants(self, rows: np.ndarray, t: int) -> tuple:
-        return (self._extras[rows, t], _mask_step(self._mask, t, rows))
-
-    def join_constants(self, parts: list) -> tuple:
-        return (np.concatenate([p[0] for p in parts]),
-                _join_mask_parts([p[1] for p in parts]))
-
-    def join_states(self, states: list) -> _State:
-        return _State([np.concatenate(arrays)
-                       for arrays in zip(*(s.arrays for s in states))])
+    def _family_key(self) -> tuple:
+        return ("rnn", id(self._seg_head), len(self._cells))
 
     def advance_on(self, state: _State, constants: tuple,
                    prev_segments: np.ndarray, prev_ratios: np.ndarray
@@ -241,17 +216,11 @@ class StackedRNNDecodeProgram:
                        + self._ratio_head.bias.data)
         return _State(states, ratios), log_probs
 
-    def advance(self, state: _State, rows: np.ndarray, t: int,
-                prev_segments: np.ndarray, prev_ratios: np.ndarray
-                ) -> tuple[_State, np.ndarray]:
-        return self.advance_on(state, self.step_constants(rows, t),
-                               prev_segments, prev_ratios)
-
     def emit(self, state: _State, segments: np.ndarray) -> np.ndarray:
         return state.cache
 
 
-class AttnDecodeProgram:
+class AttnDecodeProgram(_Program):
     """MTrajRec/RNTrajRec decode: additive attention + GRU + MT head.
 
     ``seg_table`` is the raw segment-embedding table the decoder feeds
@@ -265,6 +234,7 @@ class AttnDecodeProgram:
                  seg_head, emb_proj, ratio_head, h0: np.ndarray,
                  encoder_states: np.ndarray, obs_mask: np.ndarray,
                  extras: np.ndarray, log_mask: np.ndarray):
+        super().__init__(extras, log_mask, seg_head.out_features)
         self._seg_table = seg_table
         self._attention = attention
         self._cell = cell
@@ -276,37 +246,17 @@ class AttnDecodeProgram:
         self._keys = encoder_states  # (B, To, H)
         self._keys_proj = attention.project_keys(encoder_states)
         self._obs_mask = np.asarray(obs_mask, dtype=bool)
-        self._extras = extras
-        self._mask = log_mask
-        self.num_rows = int(extras.shape[0])
-        self.num_steps = int(extras.shape[1])
-        self.num_classes = int(seg_head.out_features)
 
     def initial_state(self) -> _State:
         return _State([self._h0, self._keys, self._keys_proj, self._obs_mask])
 
-    def select_rows(self, state: _State, keep: np.ndarray) -> _State:
-        return _State([a[keep] for a in state.arrays])
-
-    def mux_key(self) -> tuple:
+    def _family_key(self) -> tuple:
         # ``To`` (the padded encoder width) is part of the key: the
         # per-row attention reductions run over a row's full key axis,
         # and zero-extending that axis is *not* bitwise-stable, so only
         # equal-width encoder states may share a working set.
         return ("attn", id(self._cell), int(self._keys.shape[1]),
-                int(self._keys.shape[2]), int(self._extras.shape[-1]),
-                _mask_kind(self._mask))
-
-    def step_constants(self, rows: np.ndarray, t: int) -> tuple:
-        return (self._extras[rows, t], _mask_step(self._mask, t, rows))
-
-    def join_constants(self, parts: list) -> tuple:
-        return (np.concatenate([p[0] for p in parts]),
-                _join_mask_parts([p[1] for p in parts]))
-
-    def join_states(self, states: list) -> _State:
-        return _State([np.concatenate(arrays)
-                       for arrays in zip(*(s.arrays for s in states))])
+                int(self._keys.shape[2]))
 
     def advance_on(self, state: _State, constants: tuple,
                    prev_segments: np.ndarray, prev_ratios: np.ndarray
@@ -323,12 +273,6 @@ class AttnDecodeProgram:
         logits = h_d @ self._seg_head.weight.data
         log_probs = _dense_log_softmax(logits + mask_t)
         return _State([h, keys, keys_proj, obs_mask], h_d), log_probs
-
-    def advance(self, state: _State, rows: np.ndarray, t: int,
-                prev_segments: np.ndarray, prev_ratios: np.ndarray
-                ) -> tuple[_State, np.ndarray]:
-        return self.advance_on(state, self.step_constants(rows, t),
-                               prev_segments, prev_ratios)
 
     def emit(self, state: _State, segments: np.ndarray) -> np.ndarray:
         seg_emb = self._seg_table[segments]

@@ -66,7 +66,7 @@ from .api import batch_lengths, decode_model
 from .engine import DecodeSession, EmissionPolicy, MuxError
 
 __all__ = ["ServingFlags", "ServedResult", "RequestError",
-           "DeadlineExceededError", "ContinuousBatcher"]
+           "DeadlineExceededError", "InvalidRequestError", "ContinuousBatcher"]
 
 
 @dataclass(frozen=True)
@@ -123,6 +123,10 @@ class RequestError(RuntimeError):
 
 class DeadlineExceededError(RequestError):
     """The request's deadline passed before it could be admitted."""
+
+
+class InvalidRequestError(RequestError):
+    """The request is malformed (its ``__cause__`` says how)."""
 
 
 @dataclass(frozen=True)
@@ -187,6 +191,8 @@ class ContinuousBatcher:
         self._live = DecodeSession(policy=policy).open(max_batch=max_batch)
         self._live_flags: ServingFlags | None = None
         self._queue: deque[_Request] = deque()
+        self._deadlines = 0  # queued requests that carry a deadline
+        self._flops_memo: dict[tuple[int, int], float] = {}
         self._by_live_handle: dict[int, _Request] = {}
         self._next_handle = 0
         #: Request handles in the order they entered a working set (or
@@ -229,12 +235,15 @@ class ContinuousBatcher:
             lengths = batch_lengths(batch)
         else:
             lengths = np.asarray(lengths, dtype=np.int64)
+            if lengths.shape != (rows,) or lengths.max(initial=0) > batch.steps:
+                raise ValueError(f"lengths {lengths.tolist()} do not fit the batch")
         if flags is None:
             flags = ServingFlags.capture()
         handle = self._next_handle
         self._next_handle += 1
         self._queue.append(
             _Request(handle, batch, log_mask, lengths, deadline, flags))
+        self._deadlines += deadline is not None
         return handle
 
     # -- the serving loop -----------------------------------------------
@@ -272,7 +281,7 @@ class ContinuousBatcher:
 
         Expired requests are removed *before* admission, so they never
         touch (or poison) the packed working set."""
-        if not any(r.deadline is not None for r in self._queue):
+        if not self._deadlines:
             return
         now = self._clock()
         kept: deque[_Request] = deque()
@@ -286,38 +295,46 @@ class ContinuousBatcher:
             else:
                 kept.append(request)
         self._queue = kept
+        self._deadlines = sum(r.deadline is not None for r in kept)
 
     def _admit(self, outcomes) -> None:
-        """Admit queued requests in FIFO order until the head blocks."""
+        """Admit queued requests in FIFO order until the head blocks; a
+        request whose program build or solo decode raises fails alone."""
         while self._queue:
             head = self._queue[0]
             if self._live_flags is not None and head.flags != self._live_flags:
                 return  # wait for the set to drain, then re-key the flags
-            if not head.program_built:
-                with head.flags.applied(), nn.no_grad():
-                    head.program = (
-                        self.model.decode_program(head.batch, head.log_mask)
-                        if head.flags.packed_decode else None)
-                head.program_built = True
-            if head.program is None:
+            try:
+                if not head.program_built:
+                    with head.flags.applied(), nn.no_grad():
+                        head.program = (
+                            self.model.decode_program(head.batch, head.log_mask)
+                            if head.flags.packed_decode else None)
+                    head.program_built = True
                 # No decode program under these flags: serve solo at the
                 # request's admission turn, preserving FIFO order.
-                self._queue.popleft()
-                self.admission_log.append(head.handle)
-                outcomes.append((head.handle, self._solo(head)))
-                continue
-            if int(head.batch.size) > self._free_rows():
-                return  # head-of-line: wait for retirement to free rows
-            try:
-                live_handle = self._live.admit(head.program, head.batch,
-                                               lengths=head.lengths)
-            except MuxError:
-                return  # incompatible with residents: wait for drain
+                outcome = self._solo(head) if head.program is None else None
+            except Exception as error:
+                outcome = InvalidRequestError(
+                    f"request {head.handle} is malformed: {error}")
+                outcome.__cause__ = error
+            if outcome is None:
+                if int(head.batch.size) > self._free_rows():
+                    return  # head-of-line: wait for retirement to free rows
+                try:
+                    live_handle = self._live.admit(head.program, head.batch,
+                                                   lengths=head.lengths)
+                except MuxError:
+                    return  # incompatible with residents: wait for drain
+                self._by_live_handle[live_handle] = head
+                if self._live_flags is None:
+                    self._live_flags = head.flags
+            else:
+                outcomes.append((head.handle, outcome))
             self._queue.popleft()
-            self.admission_log.append(head.handle)
-            self._by_live_handle[live_handle] = head
-            if self._live_flags is None:
-                self._live_flags = head.flags
+            self._deadlines -= head.deadline is not None
+            if not isinstance(outcome, InvalidRequestError):
+                self.admission_log.append(head.handle)
 
     def _free_rows(self) -> int:
         free = self._live.free_rows
@@ -352,6 +369,9 @@ class ContinuousBatcher:
     def _flops(self, request: _Request) -> float:
         """Analytic decode cost: padded encoder, true per-row lengths."""
         seq_len = int(request.batch.steps)
-        return sum(
-            estimate_decode_flops(self.model, seq_len, decode_len=int(n))
-            for n in request.lengths)
+        memo = self._flops_memo  # per (seq_len, decode_len): model frozen
+        for n in request.lengths.tolist():
+            if (seq_len, n) not in memo:
+                memo[seq_len, n] = estimate_decode_flops(
+                    self.model, seq_len, decode_len=n)
+        return sum(memo[seq_len, n] for n in request.lengths.tolist())

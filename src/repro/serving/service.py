@@ -23,6 +23,9 @@ loop on its own:
   either drains (default) or abandons queued work, failing its futures
   with :class:`ServiceClosedError`.  The service is a context manager
   (``with DecodeService(model) as svc: ...`` drains on exit).
+* **Fault isolation**: a malformed request fails alone (an
+  ``InvalidRequestError``); any other exception out of a scheduler step
+  fails every outstanding future with it and closes the service.
 
 The worker serialises all batcher access under one lock, including the
 decode step itself — a submitter may briefly wait out an in-flight
@@ -164,7 +167,7 @@ class DecodeService:
     # -- worker ---------------------------------------------------------
     def _settled(self) -> bool:
         """All submitted work has an outcome (caller holds the lock)."""
-        return self._batcher.idle and all(
+        return (self._batcher.idle or self._closed) and all(
             f.done() for f in self._futures.values())
 
     def _run(self) -> None:
@@ -175,7 +178,12 @@ class DecodeService:
                 if self._abandon or (self._closed and self._batcher.idle):
                     self._fail_outstanding()
                     return
-                outcomes = self._batcher.step()
+                try:
+                    outcomes = self._batcher.step()
+                except Exception as fault:
+                    self._closed = True
+                    self._fail_outstanding(fault)
+                    return
                 for handle, outcome in outcomes:
                     future = self._futures.get(handle)
                     if future is None:  # result() already gave up on it
@@ -189,11 +197,12 @@ class DecodeService:
                 if outcomes:
                     self._cond.notify_all()
 
-    def _fail_outstanding(self) -> None:
-        """Abandonment path: fail every unfinished future (lock held)."""
+    def _fail_outstanding(self, fault: Exception | None = None) -> None:
+        """Abandonment (or fault) path: fail every unfinished future
+        with ``fault`` or a :class:`ServiceClosedError` (lock held)."""
         for future in self._futures.values():
             if not future.done():
                 self._stats["rejected"] += 1
-                future.set_exception(ServiceClosedError(
+                future.set_exception(fault or ServiceClosedError(
                     "service shut down before this request ran"))
         self._cond.notify_all()

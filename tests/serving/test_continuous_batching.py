@@ -12,8 +12,8 @@ plus directed tests for the scheduler invariants (capacity, FIFO,
 drain, deadlines) and the single-row-ballast/admission seam.
 
 Compute-dtype coverage comes from the environment forcing in the root
-conftest: CI's ``tier1-serving`` leg re-runs this file under
-``REPRO_COMPUTE_DTYPE=float32``.
+conftest: CI's ``tier1 (py3.12, float32)`` matrix leg re-runs this
+file under ``REPRO_COMPUTE_DTYPE=float32``.
 """
 
 from __future__ import annotations
@@ -31,9 +31,11 @@ from repro.serving import (
     DeadlineExceededError,
     DecodeSession,
     GreedyEmission,
+    InvalidRequestError,
     MuxError,
     decode_model,
 )
+from repro.serving import scheduler as scheduler_module
 
 #: The flag grid each seed runs under.  fused=False exercises the
 #: solo-fallback path (LTE builds no decode program without fused
@@ -242,6 +244,54 @@ class TestSchedulerInvariants:
         assert outcomes[handle].decode_flops == pytest.approx(expected)
         padded = estimate_decode_flops(served_lte, int(batch.steps), batch=2)
         assert outcomes[handle].decode_flops < padded
+
+
+class TestRequestIsolation:
+    def test_malformed_request_fails_alone(self, served_lte, make_request,
+                                           solo_reference):
+        """A request whose mask does not fit its batch is rejected with
+        the build error chained; the queue behind it is served."""
+        batch, _ = make_request([2], served_lte)  # 17 steps
+        _, wrong_mask = make_request([0], served_lte)  # 5 steps
+        good = solo_reference(served_lte, [1])
+        batcher = ContinuousBatcher(served_lte, max_batch=2)
+        bad = batcher.submit(batch, wrong_mask)
+        fine = batcher.submit(good[0], good[1])
+        outcomes = dict(batcher.drain())
+        assert isinstance(outcomes[bad], InvalidRequestError)
+        assert isinstance(outcomes[bad].__cause__, ValueError)
+        _assert_request_bitwise(outcomes[fine], good[0], good[2])
+        assert batcher.admission_log == [fine]
+        assert batcher.idle
+
+    def test_lengths_that_do_not_fit_are_rejected_at_submit(
+            self, served_lte, make_request):
+        batch, log_mask = make_request([0, 1], served_lte)
+        batcher = ContinuousBatcher(served_lte, max_batch=2)
+        for lengths in ([3], [3, batch.steps + 1]):
+            with pytest.raises(ValueError, match="lengths"):
+                batcher.submit(batch, log_mask, lengths=np.array(lengths))
+        assert batcher.idle
+
+    def test_decode_cost_is_memoised(self, served_lte, make_request,
+                                     monkeypatch):
+        """The analytic FLOPs walk runs once per (seq_len, decode_len)
+        geometry, not once per row of every finished request."""
+        walks = []
+        real = scheduler_module.estimate_decode_flops
+
+        def counting(*args, **kwargs):
+            walks.append(kwargs["decode_len"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(scheduler_module, "estimate_decode_flops",
+                            counting)
+        batcher = ContinuousBatcher(served_lte, max_batch=2)
+        for _ in range(3):
+            batcher.submit(*make_request([1], served_lte))
+        outcomes = dict(batcher.drain())
+        assert len(walks) == 1
+        assert len({o.decode_flops for o in outcomes.values()}) == 1
 
 
 class TestBallastAdmissionSeam:

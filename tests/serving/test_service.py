@@ -19,6 +19,7 @@ from repro import nn
 from repro.serving import (
     DeadlineExceededError,
     DecodeService,
+    InvalidRequestError,
     QueueFullError,
     ServiceClosedError,
     create_app,
@@ -185,6 +186,47 @@ class TestShutdown:
             handle = service.submit(*make_request([3], served_lte))
         # __exit__ ran shutdown(drain=True): the result must be ready.
         assert service.result(handle, timeout=1) is not None
+
+
+class TestFaultIsolation:
+    def test_malformed_request_does_not_kill_the_worker(
+            self, served_lte, make_request, solo_reference):
+        batch, _ = make_request([2], served_lte)  # 17 steps
+        _, wrong_mask = make_request([0], served_lte)  # 5 steps
+        good = solo_reference(served_lte, [1])
+        with DecodeService(served_lte, max_batch=2) as service:
+            bad = service.submit(batch, wrong_mask)
+            fine = service.submit(good[0], good[1])
+            with pytest.raises(InvalidRequestError) as caught:
+                service.result(bad, timeout=5)
+            assert isinstance(caught.value.__cause__, ValueError)
+            _assert_request_bitwise(service.result(fine, timeout=5),
+                                    good[0], good[2])
+            assert service._worker.is_alive()
+            assert service.stats["rejected"] == 1
+
+    def test_step_fault_fails_every_caller_and_closes(self, served_lte,
+                                                      make_request):
+        """An exception out of a scheduler step is not one request's:
+        every outstanding future fails with it, nobody hangs, and the
+        closed service refuses new work."""
+        data = make_request([0], served_lte)
+        service = DecodeService(served_lte, max_batch=2)
+
+        def broken_step():
+            raise RuntimeError("scheduler fault")
+
+        with service._cond:  # park the worker while the fault is armed
+            service._batcher.step = broken_step
+            first = service.submit(*data)
+            second = service.submit(*data)
+        for handle in (first, second):
+            with pytest.raises(RuntimeError, match="scheduler fault"):
+                service.result(handle, timeout=5)
+        assert service.drain(timeout=5)
+        with pytest.raises(ServiceClosedError):
+            service.submit(*data)
+        service.shutdown(timeout=5)
 
 
 # ----------------------------------------------------------------------
