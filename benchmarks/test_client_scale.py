@@ -1,24 +1,25 @@
 """Client-scale benchmark: thousand-client trained rounds.
 
-Runs one trained federated round at 100 / 500 / 1000 clients in both
-client modes — eager (every ``FederatedClient`` materialised up front)
-and lazy (flat shards + a bounded model arena) — and records, per
-configuration, the wall-clock round seconds and the process peak RSS.
-Written to ``results/client_scale.*.txt`` and merged into
-``BENCH_hotpath.json`` under ``client_scale``.
+Runs one trained federated round at 100 / 500 / 1000 clients (flat
+client shards trained through a one-slot model arena) and records, per
+rung, the wall-clock round seconds and the process peak RSS.  Written
+to ``results/client_scale.*.txt`` and merged into ``BENCH_hotpath.json``
+under ``client_scale``.
 
 Every configuration runs in its **own subprocess**: ``ru_maxrss`` is a
-process-lifetime high-water mark, so measuring eager and lazy in one
-process would report the eager peak for both.
+process-lifetime high-water mark, so measuring several rungs in one
+process would report the largest rung's peak for all of them.
 
 The acceptance gates:
 
-* the 1000-client lazy trained round completes;
-* lazy and eager produce **bit-identical** round histories and final
-  global parameters at every rung (compared via sha256 digests across
-  the subprocess boundary);
-* at 500+ clients, lazy peak RSS is at least ``MEMORY_GATE``x below
-  eager.
+* the 1000-client trained round completes;
+* peak RSS grows by at most ``RSS_PER_CLIENT_GATE_MB`` per client
+  between the 100- and 1000-client rungs — a quarter of the 1.01 MB
+  per client that live-client federations (one model and optimiser
+  per client) last measured on this ladder;
+* at 1000 clients, a two-slot arena produces **bit-identical** round
+  histories and final global parameters to the one-slot arena
+  (compared via sha256 digests across the subprocess boundary).
 
 Marked ``slow``: tier-1 (`pytest -x -q`) skips it; run with
 
@@ -36,28 +37,28 @@ import sys
 import time
 
 CLIENT_COUNTS = (100, 500, 1000)
-MEMORY_GATE = 4.0  # lazy vs eager peak RSS at 500+ clients, at least
+RSS_PER_CLIENT_GATE_MB = 0.25  # peak-RSS growth per client, 100 -> 1000
 CLIENT_FRACTION = 0.02  # a thousand-client round trains 20 clients
 ROUNDS = 1
 SRC_DIR = os.path.join(os.path.dirname(__file__), "..", "src")
 
 
-def _run_child(num_clients: int, lazy: bool) -> dict:
-    """One (count, mode) measurement in an isolated interpreter."""
+def _run_child(num_clients: int, arena_size: int = 1) -> dict:
+    """One (count, arena size) measurement in an isolated interpreter."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.abspath(SRC_DIR)
     proc = subprocess.run(
         [sys.executable, os.path.abspath(__file__), "--child",
-         str(num_clients), "1" if lazy else "0"],
+         str(num_clients), str(arena_size)],
         capture_output=True, text=True, env=env, timeout=900)
     if proc.returncode != 0:
         raise RuntimeError(
-            f"child (clients={num_clients}, lazy={lazy}) failed:\n"
-            f"{proc.stdout}\n{proc.stderr}")
+            f"child (clients={num_clients}, arena_size={arena_size}) "
+            f"failed:\n{proc.stdout}\n{proc.stderr}")
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def _child_main(num_clients: int, lazy: bool) -> None:
+def _child_main(num_clients: int, arena_size: int) -> None:
     """Build the federation, run ROUNDS trained rounds, report JSON."""
     import numpy as np
 
@@ -88,7 +89,7 @@ def _child_main(num_clients: int, lazy: bool) -> None:
     mask_builder = ConstraintMaskBuilder(world.network, radius=500.0)
     fed_config = FederatedConfig(
         rounds=ROUNDS, client_fraction=CLIENT_FRACTION, local_epochs=1,
-        use_meta=False, lazy_clients=lazy,
+        use_meta=False, arena_size=arena_size,
         training=TrainingConfig(batch_size=16),
     )
 
@@ -113,7 +114,7 @@ def _child_main(num_clients: int, lazy: bool) -> None:
 
     print(json.dumps({
         "clients": num_clients,
-        "lazy": lazy,
+        "arena_size": arena_size,
         "trained_clients": len(result.history[0].completed_clients),
         "build_seconds": build_seconds,
         "round_seconds": round_seconds,
@@ -124,7 +125,7 @@ def _child_main(num_clients: int, lazy: bool) -> None:
 
 
 if __name__ == "__main__" and "--child" in sys.argv:
-    _child_main(int(sys.argv[2]), sys.argv[3] == "1")
+    _child_main(int(sys.argv[2]), int(sys.argv[3]))
     sys.exit(0)
 
 
@@ -138,56 +139,52 @@ pytestmark = pytest.mark.slow
 def test_client_scale():
     rows = []
     for num_clients in CLIENT_COUNTS:
-        eager = _run_child(num_clients, lazy=False)
-        lazy = _run_child(num_clients, lazy=True)
-        assert lazy["digest"] == eager["digest"], (
-            f"lazy and eager histories diverged at {num_clients} clients")
+        child = _run_child(num_clients)
         rows.append({
             "clients": num_clients,
-            "trained_clients": eager["trained_clients"],
-            "eager_rss_mb": eager["peak_rss_mb"],
-            "lazy_rss_mb": lazy["peak_rss_mb"],
-            "rss_ratio": eager["peak_rss_mb"] / lazy["peak_rss_mb"],
-            "eager_build_seconds": eager["build_seconds"],
-            "lazy_build_seconds": lazy["build_seconds"],
-            "eager_round_seconds": eager["round_seconds"],
-            "lazy_round_seconds": lazy["round_seconds"],
-            "final_accuracy": lazy["final_accuracy"],
-            "bitwise_identical": True,
+            "trained_clients": child["trained_clients"],
+            "rss_mb": child["peak_rss_mb"],
+            "build_seconds": child["build_seconds"],
+            "round_seconds": child["round_seconds"],
+            "final_accuracy": child["final_accuracy"],
+            "digest": child["digest"],
         })
+    top = rows[-1]
+    two_slots = _run_child(top["clients"], arena_size=2)
+    assert two_slots["digest"] == top["digest"], (
+        f"arena_size 2 diverged from arena_size 1 at {top['clients']} "
+        f"clients")
+    rss_per_client = ((top["rss_mb"] - rows[0]["rss_mb"])
+                      / (top["clients"] - rows[0]["clients"]))
 
     lines = [
         f"Client scale: one trained round, client_fraction={CLIENT_FRACTION}"
-        f" (lazy == eager bitwise at every rung)",
+        f" (arena_size 1 == 2 bitwise at {top['clients']} clients)",
         "",
-        "clients  trained  eager RSS  lazy RSS  ratio  "
-        "eager round  lazy round",
+        "clients  trained  peak RSS  build    round  accuracy",
     ]
     for row in rows:
         lines.append(
             f"{row['clients']:>7}  {row['trained_clients']:>7}  "
-            f"{row['eager_rss_mb']:>8.1f}M  {row['lazy_rss_mb']:>7.1f}M  "
-            f"{row['rss_ratio']:>4.1f}x  "
-            f"{row['eager_round_seconds']:>10.2f}s  "
-            f"{row['lazy_round_seconds']:>9.2f}s")
+            f"{row['rss_mb']:>7.1f}M  {row['build_seconds']:>5.2f}s  "
+            f"{row['round_seconds']:>5.2f}s  {row['final_accuracy']:.4f}")
     lines.append("")
-    lines.append(f"memory gate: lazy cuts peak RSS >= {MEMORY_GATE}x at "
-                 f"500+ clients")
+    lines.append(
+        f"peak RSS per client ({rows[0]['clients']} -> {top['clients']}): "
+        f"{rss_per_client:.3f} MB (gate <= {RSS_PER_CLIENT_GATE_MB} MB)")
     publish("client_scale", "\n".join(lines))
     update_bench({"client_scale": {
         "client_fraction": CLIENT_FRACTION,
         "rounds": ROUNDS,
-        "memory_gate": MEMORY_GATE,
+        "rss_per_client_mb": rss_per_client,
+        "rss_per_client_gate_mb": RSS_PER_CLIENT_GATE_MB,
         "ladder": rows,
     }})
 
     # The acceptance gates: the thousand-client trained round completed
-    # (the rows exist and trained clients uploaded), and lazy cuts peak
-    # RSS by the gate factor wherever eager pays per-client state.
-    top = rows[-1]
+    # (the rows exist and trained clients uploaded), and memory grows
+    # with client count by shard size, not by model + optimiser size.
     assert top["clients"] == 1000 and top["trained_clients"] >= 1
-    for row in rows:
-        if row["clients"] >= 500:
-            assert row["rss_ratio"] >= MEMORY_GATE, (
-                f"lazy saves only {row['rss_ratio']:.1f}x at "
-                f"{row['clients']} clients (gate {MEMORY_GATE}x)")
+    assert rss_per_client <= RSS_PER_CLIENT_GATE_MB, (
+        f"peak RSS grows {rss_per_client:.3f} MB per client "
+        f"(gate {RSS_PER_CLIENT_GATE_MB} MB)")

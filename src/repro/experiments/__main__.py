@@ -151,16 +151,10 @@ def main(argv: list[str] | None = None) -> int:
                              "async waves, e.g. "
                              "'base=1,jitter=2,heavy=0.1,seed=7' (see "
                              "docs/ROBUSTNESS.md)")
-    parser.add_argument("--lazy-clients", default=None, choices=["on", "off"],
-                        help="materialise clients lazily: client state lives "
-                             "in flat shards and models in a bounded arena, "
-                             "so thousand-client federations fit in memory "
-                             "(bit-identical round histories; default: the "
-                             "REPRO_LAZY_CLIENTS process default)")
     parser.add_argument("--arena-size", type=int, default=None, metavar="N",
-                        help="live model/trainer slots in the lazy-clients "
-                             "model arena (default: 1; only consulted with "
-                             "--lazy-clients on)")
+                        help="live model/trainer slots in the model arena "
+                             "that trains the clients' flat shards "
+                             "(default: 1; results do not depend on it)")
     parser.add_argument("--fault-plan", default=None, metavar="SPEC",
                         help="inject deterministic client faults, e.g. "
                              "'dropout=0.3,crash=0.1,seed=42' (see "
@@ -208,8 +202,6 @@ def main(argv: list[str] | None = None) -> int:
                                     clients_per_round=args.clients_per_round)
     if args.latency is not None:
         scale = dataclasses.replace(scale, latency=args.latency)
-    if args.lazy_clients is not None:
-        scale = dataclasses.replace(scale, lazy_clients=args.lazy_clients)
     if args.arena_size is not None:
         scale = dataclasses.replace(scale, arena_size=args.arena_size)
     if args.fault_plan is not None:

@@ -80,8 +80,7 @@ class ExperimentScale:
     clients_per_round: float = 0.0  # async sampling fraction (0 = client_fraction)
     latency: str = ""  # e.g. "base=1,jitter=2,heavy=0.1,seed=7" ("" = default)
     # --- client-scale knobs (docs/PERFORMANCE.md "Client scale") ---
-    lazy_clients: str = ""  # "on"/"off" ("" = REPRO_LAZY_CLIENTS default)
-    arena_size: int = 1  # live model slots in lazy mode
+    arena_size: int = 1  # live model slots
     collation_cache_entries: int = 0  # per-dataset batch-cache cap (0 = default)
 
 
@@ -199,10 +198,6 @@ class ExperimentContext:
                          workers: int | None = None,
                          run_tag: str | None = None) -> FederatedConfig:
         scale = self.scale
-        if scale.lazy_clients not in ("", "on", "off"):
-            raise ValueError(
-                f"lazy_clients must be 'on', 'off' or '' (default), "
-                f"got {scale.lazy_clients!r}")
         return FederatedConfig(
             rounds=rounds if rounds is not None else scale.rounds,
             client_fraction=client_fraction,
@@ -226,8 +221,6 @@ class ExperimentContext:
             staleness_alpha=scale.staleness_alpha,
             clients_per_round=scale.clients_per_round or None,
             latency=scale.latency or None,
-            lazy_clients=(None if not scale.lazy_clients
-                          else scale.lazy_clients == "on"),
             arena_size=scale.arena_size,
             collation_cache_entries=scale.collation_cache_entries,
         )

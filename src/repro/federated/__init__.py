@@ -1,16 +1,7 @@
 """``repro.federated`` - client/server FedAvg orchestration for LightTR."""
 
 from .aggregation import average_flat, average_states, fedavg
-from .arena import (
-    ClientShard,
-    LazyClientList,
-    ModelArena,
-    forced_lazy_from_env,
-    get_lazy_clients,
-    resolve_lazy_clients,
-    set_lazy_clients,
-    use_lazy_clients,
-)
+from .arena import ClientShard, LazyClientList, ModelArena
 from .asynchrony import (
     AsyncAggregatorState,
     LatencyModel,
@@ -60,7 +51,6 @@ from .runner import (
     RoundResult,
     RoundRunner,
     RoundTask,
-    SerialRunner,
     TaskExecutor,
     WorkerSetup,
 )
@@ -90,9 +80,7 @@ __all__ = [
     "FederatedCheckpoint", "checkpoint_path", "latest_checkpoint",
     "GaussianMechanism",
     "ClientShard", "LazyClientList", "ModelArena",
-    "forced_lazy_from_env", "get_lazy_clients", "resolve_lazy_clients",
-    "set_lazy_clients", "use_lazy_clients",
-    "RoundRunner", "SerialRunner", "ArenaRunner", "ProcessPoolRunner",
+    "RoundRunner", "ArenaRunner", "ProcessPoolRunner",
     "TaskExecutor",
     "RoundTask", "RoundResult", "RoundExecutionError", "WorkerSetup",
     "RetryPolicy", "ClientFailure", "RoundExecution",

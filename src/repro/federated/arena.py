@@ -1,6 +1,6 @@
-"""Lazy client materialisation: shards, the model arena, and the knob.
+"""Client state as flat shards, trained through a bounded model arena.
 
-At thousand-client scale the live-object model breaks down: every
+At thousand-client scale a live-object client model breaks down: every
 :class:`~repro.federated.client.FederatedClient` permanently owns a
 full model, a :class:`~repro.core.training.LocalTrainer` (with ~6
 ``(P,)`` float64 Adam/optimiser buffers), and a
@@ -8,7 +8,9 @@ full model, a :class:`~repro.core.training.LocalTrainer` (with ~6
 clients therefore costs ``O(N * P)`` memory even though only the
 sampled fraction trains each round.
 
-This module makes client count a *data-size* problem instead:
+This module makes client count a *data-size* problem instead; it is
+the only client substrate :class:`~repro.federated.trainer.FederatedTrainer`
+has:
 
 :class:`ClientShard`
     The whole persistent identity of one client, as flat vectors: its
@@ -32,28 +34,20 @@ This module makes client count a *data-size* problem instead:
     A read-only sequence view that materialises a fresh
     :class:`FederatedClient` from a shard on demand, so result
     consumers (``result.clients[i].test_accuracy()``) keep working
-    unchanged in lazy mode.
+    unchanged.
 
 Bitwise contract
 ----------------
-Lazy and eager runs are **bit-identical**: hydration is exactly the
-session-restore path the process-pool workers use, the pristine
-parameter/session template reproduces the eager constructor's
-deterministic ``model_factory()`` + zeroed-optimiser state, and each
-shard's initial RNG state is the same ``default_rng(seed + 101 + i)``
-the eager constructor seeds.
-
-The ``REPRO_LAZY_CLIENTS`` environment knob forces lazy mode for every
-trainer whose config leaves ``lazy_clients=None`` — the same forcing
-idiom as ``REPRO_EXCHANGE_CODEC`` — which is how the CI
-``tier1-lazy-clients`` leg runs the whole federated suite through the
-arena path.
+A shard-backed run is **bit-identical** to ``N`` persistent live
+clients (the live-client oracle in ``tests/federated``): hydration is
+exactly the session-restore path the process-pool workers use, the
+pristine parameter/session template reproduces a freshly built
+client's deterministic ``model_factory()`` + zeroed-optimiser state,
+and each shard's initial RNG state is ``default_rng(seed + 101 + i)``.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -64,11 +58,7 @@ from ..core.mask import ConstraintMaskBuilder
 from ..core.training import TrainingConfig
 from .client import ClientData, ClientSessionState, FederatedClient
 
-__all__ = [
-    "ClientShard", "ModelArena", "LazyClientList",
-    "forced_lazy_from_env", "get_lazy_clients", "set_lazy_clients",
-    "use_lazy_clients", "resolve_lazy_clients",
-]
+__all__ = ["ClientShard", "ModelArena", "LazyClientList"]
 
 
 @dataclass
@@ -159,7 +149,7 @@ class ModelArena:
         if self._pristine_params is None:
             # Captured before any training touches the slot: the factory
             # is deterministic, so this is the parameter vector every
-            # eager client starts from too.
+            # client starts from.
             self._pristine_params = client.flat_parameters(dtype=np.float64)
             self._pristine_session = client.session_state()
         return client
@@ -212,10 +202,9 @@ class LazyClientList(Sequence):
     Indexing materialises a *fresh* :class:`FederatedClient` hydrated
     from the shard (current parameters + session), so inspection-style
     consumers — accuracy probes, parameter snapshots, codec residual
-    checks — see exactly what an eager trainer's live client would
-    hold.  Mutations to a materialised client are **not** written back
-    to the shard; tests that sabotage live-client internals carry the
-    ``eager_clients`` marker instead.
+    checks — see exactly the client's state after its last round.
+    Mutations to a materialised client are **not** written back to the
+    shard.
     """
 
     def __init__(self, trainer):
@@ -232,74 +221,3 @@ class LazyClientList(Sequence):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"LazyClientList({len(self)} shards)"
-
-
-# ----------------------------------------------------------------------
-# the lazy-clients knob (REPRO_LAZY_CLIENTS forcing)
-# ----------------------------------------------------------------------
-_TRUE_VALUES = ("1", "true", "on", "yes")
-_FALSE_VALUES = ("0", "false", "off", "no")
-
-#: The active process default; ``None`` = not yet resolved, in which
-#: case the ``REPRO_LAZY_CLIENTS`` environment forcing (if any) applies
-#: on first read.
-_ACTIVE_LAZY: bool | None = None
-
-
-def _parse_lazy(value: "bool | str") -> bool:
-    if isinstance(value, bool):
-        return value
-    text = value.strip().lower()
-    if text in _TRUE_VALUES:
-        return True
-    if text in _FALSE_VALUES:
-        return False
-    raise ValueError(
-        f"cannot interpret lazy-clients value {value!r}; expected one of "
-        f"{_TRUE_VALUES + _FALSE_VALUES}")
-
-
-def forced_lazy_from_env() -> bool | None:
-    """The mode forced by ``REPRO_LAZY_CLIENTS`` (None if unset)."""
-    raw = os.environ.get("REPRO_LAZY_CLIENTS")
-    if raw is None or not raw.strip():
-        return None
-    return _parse_lazy(raw)
-
-
-def get_lazy_clients() -> bool:
-    """The process-default client mode (eager unless configured)."""
-    global _ACTIVE_LAZY
-    if _ACTIVE_LAZY is None:
-        forced = forced_lazy_from_env()
-        _ACTIVE_LAZY = False if forced is None else forced
-    return _ACTIVE_LAZY
-
-
-def set_lazy_clients(value: "bool | str") -> bool:
-    """Set the process default; returns the previous mode."""
-    global _ACTIVE_LAZY
-    previous = get_lazy_clients()
-    _ACTIVE_LAZY = _parse_lazy(value)
-    return previous
-
-
-@contextmanager
-def use_lazy_clients(value: "bool | str"):
-    """Temporarily switch the process-default client mode."""
-    previous = set_lazy_clients(value)
-    try:
-        yield get_lazy_clients()
-    finally:
-        set_lazy_clients(previous)
-
-
-def resolve_lazy_clients(value: "bool | None") -> bool:
-    """Normalise a config-level ``lazy_clients`` value.
-
-    ``None`` defers to the process default (itself seeded from the
-    ``REPRO_LAZY_CLIENTS`` forcing); an explicit bool wins.
-    """
-    if value is None:
-        return get_lazy_clients()
-    return bool(value)

@@ -65,13 +65,13 @@ __all__ = ["FederatedCheckpoint", "checkpoint_path", "latest_checkpoint"]
 #:     the async aggregator state.  Version-1 files lack both, so a
 #:     resumed run could not reproduce the uninterrupted byte/flush
 #:     stream — they are rejected with a clear error.
-#: 3 — lazy-clients support (PR 10): ``client_params`` entries may be
+#: 3 — shard-backed clients: ``client_params`` entries may be
 #:     ``None`` (a shard that never trained still holds the pristine
 #:     factory parameters, so persisting ``N`` identical copies would
-#:     defeat the lazy memory model) and ``lazy_clients`` records the
-#:     client mode so a resume cannot silently mix shard state with
-#:     live-client state.  Version-2 files still load — they are
-#:     always eager with every parameter vector present.
+#:     defeat the shard memory model).  Version-2 files, and version-3
+#:     files written by live-client runs (every parameter vector
+#:     present, a since-removed ``lazy_clients`` attribute in the
+#:     pickle), load into shards all the same.
 CHECKPOINT_VERSION = 3
 
 
@@ -83,9 +83,8 @@ class FederatedCheckpoint:
     next_round: int
     global_flat: np.ndarray  # exact float64 global parameters
     client_sessions: tuple[ClientSessionState, ...]
-    # Exact float64 per-client params; a ``None`` entry (version >= 3,
-    # lazy mode only) marks a shard still holding the pristine factory
-    # initialisation.
+    # Exact float64 per-client params; a ``None`` entry (version >= 3)
+    # marks a shard still holding the pristine factory initialisation.
     client_params: "tuple[np.ndarray | None, ...]"
     trainer_rng_state: dict  # client-selection generator
     teacher_flat: np.ndarray | None
@@ -95,7 +94,6 @@ class FederatedCheckpoint:
     pool_failures: int = 0  # consecutive whole-pool failures so far
     downlink_residual: np.ndarray | None = None  # server-side error feedback
     async_state: AsyncAggregatorState | None = None  # None = synchronous run
-    lazy_clients: bool = False  # True = client state lives in shards
     version: int = CHECKPOINT_VERSION
 
     def save(self, path: str) -> str:
@@ -118,10 +116,6 @@ class FederatedCheckpoint:
             raise ValueError(
                 f"checkpoint {path} has version {checkpoint.version}, "
                 f"this build reads versions 2 and {CHECKPOINT_VERSION}")
-        if not hasattr(checkpoint, "lazy_clients"):
-            # Version-2 pickles restore __dict__ directly and predate
-            # the field; they were always taken from eager runs.
-            checkpoint.lazy_clients = False
         return checkpoint
 
 

@@ -164,18 +164,6 @@ class FederatedClient:
         self.codec_residual = (None if state.codec_residual is None
                                else state.codec_residual.copy())
 
-    def apply_round_result(self, upload_flat: np.ndarray,
-                           session: ClientSessionState,
-                           params_flat: np.ndarray | None = None) -> None:
-        """Adopt a round executed elsewhere (a worker process): the
-        trained parameters become the local model state and the returned
-        session snapshot replaces the local one.  ``params_flat`` is the
-        exact float64 parameter snapshot when the exchange dtype is
-        reduced (the upload alone would lose the sub-float32 bits a
-        serial client keeps)."""
-        self._space.set_flat(upload_flat if params_flat is None else params_flat)
-        self.load_session_state(session)
-
     def validation_accuracy(self) -> float:
         """Segment accuracy on the client's validation split."""
         if len(self.data.valid) == 0:

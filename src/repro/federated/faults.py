@@ -14,7 +14,8 @@ A :class:`FaultPlan` decides the fault (if any) for a given
 coordinates and the plan's seed: the decision is drawn from a
 generator seeded with exactly that key, never from a shared sequential
 stream.  Consequently the same plan injects the *identical* fault
-schedule under :class:`~repro.federated.runner.SerialRunner` and
+schedule under :class:`~repro.federated.runner.ArenaRunner` (the
+in-process default) and
 :class:`~repro.federated.runner.ProcessPoolRunner` — regardless of
 worker count, pool scheduling, or completion order — which is what
 keeps serial-vs-parallel round histories bit-identical under faults

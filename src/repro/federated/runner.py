@@ -6,10 +6,12 @@ trains locally on private data, and uploads a flat vector.  This module
 factors the *execution* of one round out of the trainer into a
 :class:`RoundRunner` with two backends:
 
-:class:`SerialRunner`
-    Runs the selected clients in-process against the trainer's live
-    :class:`~repro.federated.client.FederatedClient` objects — exactly
-    the original sequential behaviour, and the default.
+:class:`ArenaRunner`
+    Runs the selected clients in-process, one after another, through
+    the trainer's bounded :class:`~repro.federated.arena.ModelArena`:
+    each task checks out a slot, hydrates it from the task's session
+    snapshot and the broadcast, trains, and checks the slot back in.
+    The default.
 
 :class:`ProcessPoolRunner`
     Ships each selected client a picklable :class:`RoundTask` — the
@@ -20,6 +22,9 @@ factors the *execution* of one round out of the trainer into a
     Each worker rebuilds the model, constraint-mask builder, and client
     datasets **once** (from the :class:`WorkerSetup` passed to the pool
     initializer) and reuses them across every round.
+
+Both backends execute tasks through the same :class:`TaskExecutor`,
+so they differ only in where it runs.
 
 Determinism guarantee
 ---------------------
@@ -49,7 +54,7 @@ RoundTask shipping contract
 A :class:`RoundTask` must stay cheap to pickle and self-sufficient: the
 flat ``(P,)`` global vector, the client id, the round index, the local
 epoch count, the frozen teacher's flat state (or ``None``), the
-client's session snapshot (or ``None`` for in-process execution), and
+client's session snapshot (or ``None`` for the pristine session), and
 the six global switches above.  Heavy, rebuildable objects never ride
 on tasks — the datasets, road network, constraint-mask builder, and
 fault plan travel once in the :class:`WorkerSetup` (the builder pickles
@@ -67,7 +72,7 @@ session snapshot inside the task makes re-execution exact — and then
 records a :class:`ClientFailure` instead of raising.  Only a
 *whole-pool* failure (dead workers after one in-round pool rebuild)
 raises :class:`RoundExecutionError`; the trainer then re-executes just
-that round with a :class:`SerialRunner` and keeps the pool for the
+that round with an :class:`ArenaRunner` and keeps the pool for the
 next round — permanent serial demotion is the last resort after
 consecutive whole-pool failures.  The strict :meth:`RoundRunner.run_round`
 API (fail the round on any error) is kept for callers that want the
@@ -104,7 +109,7 @@ from .faults import ClientFaultError, FaultEvent, FaultPlan
 __all__ = [
     "RoundTask", "RoundResult", "RoundExecutionError", "WorkerSetup",
     "RetryPolicy", "ClientFailure", "RoundExecution", "TaskExecutor",
-    "RoundRunner", "SerialRunner", "ArenaRunner", "ProcessPoolRunner",
+    "RoundRunner", "ArenaRunner", "ProcessPoolRunner",
     "preferred_start_method",
 ]
 
@@ -172,7 +177,7 @@ class RoundTask:
     global_flat: "np.ndarray | EncodedPayload"
     epochs: int
     teacher_flat: np.ndarray | None  # float64; None = no distillation
-    session: ClientSessionState | None  # None = run on live client state
+    session: ClientSessionState | None  # None = pristine session
     fused_kernels: bool = True
     sparse_masks: bool = True
     packed_decode: bool = True
@@ -192,11 +197,11 @@ class RoundResult:
     client_id: int
     upload_flat: np.ndarray  # decoded upload (privatisation happens server-side)
     metrics: dict
-    session: ClientSessionState | None  # None when the live client ran in-process
+    session: ClientSessionState | None  # the trained session snapshot
     params_flat: np.ndarray | None = None  # exact float64 params when the
-    # exchange dtype is reduced or the codec is lossy (sync-back must not
-    # round the live client) or when the upload was fault-corrupted
-    # (sync-back must not adopt the corruption — only the wire payload
+    # exchange dtype is reduced or the codec is lossy (the shard must not
+    # store rounded parameters) or when the upload was fault-corrupted
+    # (the shard must not adopt the corruption — only the wire payload
     # is poisoned)
     payload_bytes: int | None = None  # measured wire size of the encoded
     # upload (None for hand-built results: the trainer falls back to
@@ -322,7 +327,7 @@ def _encode_upload(task: RoundTask, client: FederatedClient,
     the codec quantises the *exact* float64 parameters (plus the
     carried error-feedback residual) and fully determines the wire
     bytes.  The residual update is a pure function of the parameters
-    and the previous residual, so serial and pool execution — and
+    and the previous residual, so in-process and pool execution — and
     retries, which restore the session snapshot first — encode
     bit-identically."""
     codec = codec_by_name(task.exchange_codec)
@@ -342,113 +347,30 @@ def _encode_upload(task: RoundTask, client: FederatedClient,
 class RoundRunner:
     """Executes the selected clients of one round.
 
-    ``ships_state`` tells the trainer whether tasks must carry session
-    snapshots (and results must be synced back into the live clients);
-    ``fallible`` marks backends whose whole-round failures should
-    trigger the serial fallback instead of propagating.
+    Every task carries its client's session snapshot, and every result
+    must return the trained one for the trainer to store back into the
+    client's shard.  ``fallible`` marks backends whose whole-round
+    failures should trigger the in-process fallback instead of
+    propagating.
     """
 
-    ships_state = False
     fallible = False
 
-    def run_round(self, tasks: Sequence[RoundTask],
-                  distiller: MetaKnowledgeDistiller | None = None
-                  ) -> list[RoundResult]:
+    def run_round(self, tasks: Sequence[RoundTask]) -> list[RoundResult]:
         """Strict execution: any failure fails the whole round."""
         raise NotImplementedError
 
     def run_round_tolerant(self, tasks: Sequence[RoundTask],
-                           distiller: MetaKnowledgeDistiller | None = None,
                            policy: RetryPolicy | None = None
                            ) -> RoundExecution:
         """Per-client execution: failures become :class:`ClientFailure`
         entries instead of aborting the round.  The base implementation
         wraps the strict path (all-or-nothing) for custom runners that
         only override :meth:`run_round`."""
-        return RoundExecution(results=self.run_round(tasks, distiller))
+        return RoundExecution(results=self.run_round(tasks))
 
     def close(self) -> None:
         """Release backend resources (idempotent)."""
-
-
-class SerialRunner(RoundRunner):
-    """In-process execution against the trainer's live clients."""
-
-    def __init__(self, clients: Sequence[FederatedClient],
-                 fault_plan: FaultPlan | None = None):
-        self.clients = clients
-        self.fault_plan = fault_plan
-
-    def run_round(self, tasks: Sequence[RoundTask],
-                  distiller: MetaKnowledgeDistiller | None = None
-                  ) -> list[RoundResult]:
-        results = []
-        for task in tasks:
-            client = self.clients[task.client_id]
-            if task.session is not None:
-                # Fallback path: restore the pre-round snapshot so a
-                # round that failed mid-flight on a pool re-runs from
-                # the exact same state.
-                client.load_session_state(task.session)
-            client.receive_global_flat(decode_payload(task.global_flat))
-            flat, metrics = client.local_train_flat(task.epochs, distiller)
-            upload, nbytes, _ = _encode_upload(task, client, flat)
-            results.append(RoundResult(task.client_id, upload, metrics, None,
-                                       payload_bytes=nbytes))
-        return results
-
-    def _attempt(self, client: FederatedClient, task: RoundTask, attempt: int,
-                 distiller: MetaKnowledgeDistiller | None,
-                 deadline: float | None) -> RoundResult:
-        fault = _inject_pre_train(self.fault_plan, task, attempt, deadline)
-        if task.session is not None:
-            client.load_session_state(task.session)
-        client.receive_global_flat(decode_payload(task.global_flat))
-        flat, metrics = client.local_train_flat(task.epochs, distiller)
-        upload, nbytes, _ = _encode_upload(task, client, flat)
-        upload, _, delay = _apply_post_fault(self.fault_plan, task, attempt,
-                                             fault, upload)
-        return RoundResult(task.client_id, upload, metrics, None,
-                           payload_bytes=nbytes, straggler_delay=delay)
-
-    def run_round_tolerant(self, tasks: Sequence[RoundTask],
-                           distiller: MetaKnowledgeDistiller | None = None,
-                           policy: RetryPolicy | None = None
-                           ) -> RoundExecution:
-        policy = policy if policy is not None else RetryPolicy()
-        execution = RoundExecution(results=[])
-        for task in tasks:
-            client = self.clients[task.client_id]
-            # Snapshot the exact pre-round parameters: a finally-failed
-            # client must end the round in its pre-round state, exactly
-            # like a pool run whose failed client never syncs back.
-            saved_params = (client.flat_parameters(dtype=np.float64)
-                            if task.session is not None else None)
-            attempt = 0
-            while True:
-                try:
-                    result = self._attempt(client, task, attempt, distiller,
-                                           policy.deadline)
-                    execution.results.append(result)
-                    break
-                except ClientFaultError as exc:
-                    # Only injected/typed client faults are tolerated in
-                    # serial execution — real exceptions propagate (an
-                    # in-process bug is a bug, not a degraded client).
-                    if attempt < policy.retries and task.session is not None:
-                        attempt += 1
-                        if policy.backoff:
-                            time.sleep(policy.backoff * attempt)
-                        continue
-                    if task.session is not None:
-                        client.load_session_state(task.session)
-                        client.receive_global_flat(saved_params)
-                    execution.failures.append(ClientFailure(
-                        task.client_id, exc.kind, attempt + 1, exc.message))
-                    break
-            if attempt:
-                execution.retry_counts[task.client_id] = attempt
-        return execution
 
 
 # --- worker-process side of the pool backend ---------------------------
@@ -561,9 +483,9 @@ class TaskExecutor:
             client = self.arena.checkout(task.client_id,
                                          self.setup.client_data[task.client_id])
             try:
-                # Hydrate fully: session (or the pristine template for
-                # session-less in-process execution — deterministic zero
-                # state, matching a freshly built client) + broadcast.
+                # Hydrate fully: session (or the pristine template —
+                # deterministic zero state, matching a freshly built
+                # client) + broadcast.
                 session = (task.session if task.session is not None
                            else self.arena.pristine_session)
                 client.load_session_state(session)
@@ -578,8 +500,8 @@ class TaskExecutor:
                     plan, task, attempt, fault, upload)
                 if corrupted and params_flat is None:
                     # Only the wire payload is poisoned: ship the exact
-                    # parameters so sync-back matches a serial client,
-                    # whose local model never saw the corruption.
+                    # parameters so the shard stores what the client
+                    # trained, not the corruption.
                     params_flat = client.flat_parameters(dtype=np.float64)
                 return RoundResult(task.client_id, upload, metrics,
                                    client.session_state(), params_flat,
@@ -597,31 +519,19 @@ class TaskExecutor:
 class ArenaRunner(RoundRunner):
     """In-process round execution through a bounded model arena.
 
-    The lazy-clients dual of :class:`SerialRunner`: instead of running
-    against ``N`` live client objects it drives one
-    :class:`TaskExecutor` (sharing the trainer's arena), so tasks are
-    executed exactly like a pool worker would — session hydration,
-    flag re-assertion, fault injection — but in-process and with at
-    most ``arena_size`` live models.  ``ships_state`` is True: every
-    task carries its shard's session and every result returns the
-    trained snapshot for the trainer to store back into the shard.
+    Drives one :class:`TaskExecutor` (sharing the trainer's arena), so
+    tasks are executed exactly like a pool worker would — session
+    hydration, flag re-assertion, fault injection — but in-process and
+    with at most ``arena_size`` live models.
     """
-
-    ships_state = True
-    fallible = False
 
     def __init__(self, setup: WorkerSetup, arena: ModelArena | None = None):
         self.executor = TaskExecutor(setup, arena)
 
-    def run_round(self, tasks: Sequence[RoundTask],
-                  distiller: MetaKnowledgeDistiller | None = None
-                  ) -> list[RoundResult]:
-        # ``distiller`` is unused: the executor loads the teacher
-        # snapshot into its own distiller, exactly like a pool worker.
+    def run_round(self, tasks: Sequence[RoundTask]) -> list[RoundResult]:
         return [self.executor.execute(task) for task in tasks]
 
     def run_round_tolerant(self, tasks: Sequence[RoundTask],
-                           distiller: MetaKnowledgeDistiller | None = None,
                            policy: RetryPolicy | None = None
                            ) -> RoundExecution:
         policy = policy if policy is not None else RetryPolicy()
@@ -634,11 +544,14 @@ class ArenaRunner(RoundRunner):
                         self.executor.execute(task, attempt, policy.deadline))
                     break
                 except ClientFaultError as exc:
+                    # Only injected/typed client faults are tolerated
+                    # in-process — real exceptions propagate (an
+                    # in-process bug is a bug, not a degraded client).
                     # Retries are exact: the task's session snapshot is
                     # reloaded on re-execution, and a finally-failed
                     # client needs no restore at all — its shard was
                     # never touched.
-                    if attempt < policy.retries and task.session is not None:
+                    if attempt < policy.retries:
                         attempt += 1
                         if policy.backoff:
                             time.sleep(policy.backoff * attempt)
@@ -649,6 +562,17 @@ class ArenaRunner(RoundRunner):
             if attempt:
                 execution.retry_counts[task.client_id] = attempt
         return execution
+
+
+class SerialRunner(ArenaRunner):
+    """The in-process runner under its historical name.
+
+    Kept only because the frozen trace boundaries in
+    ``perfbench/spans.py`` still wrap ``SerialRunner.run_round_tolerant``.
+    A subclass rather than an alias: an alias would have the tracer wrap
+    :meth:`ArenaRunner.run_round_tolerant` twice and record every round
+    span twice.
+    """
 
 
 class ProcessPoolRunner(RoundRunner):
@@ -672,7 +596,6 @@ class ProcessPoolRunner(RoundRunner):
         deadline from the :class:`RetryPolicy` instead.
     """
 
-    ships_state = True
     fallible = True
 
     def __init__(self, setup: WorkerSetup, workers: int,
@@ -696,12 +619,7 @@ class ProcessPoolRunner(RoundRunner):
             )
         return self._pool
 
-    def run_round(self, tasks: Sequence[RoundTask],
-                  distiller: MetaKnowledgeDistiller | None = None
-                  ) -> list[RoundResult]:
-        # ``distiller`` is unused: workers load the task's teacher
-        # snapshot into their own distiller, so the live teacher never
-        # crosses the wire.
+    def run_round(self, tasks: Sequence[RoundTask]) -> list[RoundResult]:
         try:
             pool = self._ensure_pool()
             submitted = time.monotonic()
@@ -728,7 +646,6 @@ class ProcessPoolRunner(RoundRunner):
     # tolerant execution: per-task outcomes, retries, pool rebuild
     # ------------------------------------------------------------------
     def run_round_tolerant(self, tasks: Sequence[RoundTask],
-                           distiller: MetaKnowledgeDistiller | None = None,
                            policy: RetryPolicy | None = None
                            ) -> RoundExecution:
         policy = policy if policy is not None else RetryPolicy()

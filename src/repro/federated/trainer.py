@@ -16,6 +16,12 @@ The trainer is model-agnostic: pass a different ``model_factory`` to
 train any of the ``+FL`` baselines with the identical protocol (the
 paper's FC+FL / RNN+FL / MTrajRec+FL / RNTrajRec+FL setting).
 
+Each client is a flat :class:`~repro.federated.arena.ClientShard`
+(private data + session snapshot + exact parameters once it has
+trained), and the models that train them live in a bounded
+:class:`~repro.federated.arena.ModelArena`, so client count is a
+data-size problem rather than ``N`` live models.
+
 Round execution is pluggable (:mod:`repro.federated.runner`): with
 ``FederatedConfig(workers=N)`` the selected clients of each round train
 in ``N`` persistent worker processes instead of sequentially.  With
@@ -61,7 +67,6 @@ import numpy as np
 
 from .. import nn
 from ..core.base import RecoveryModel
-from ..core.distill import MetaKnowledgeDistiller
 from ..core.mask import ConstraintMaskBuilder
 from ..core.teacher import TeacherConfig, TeacherTrainingResult, train_teacher
 from ..core.training import TrainingConfig, model_segment_accuracy
@@ -69,7 +74,7 @@ from ..data.dataset import TrajectoryDataset
 from ..data.partition import partition_dataset
 from ..data.synthetic import SyntheticDataset
 from ..nn.flatten import FlatParameterSpace
-from .arena import ClientShard, LazyClientList, ModelArena, resolve_lazy_clients
+from .arena import ClientShard, LazyClientList, ModelArena
 from .asynchrony import (
     AsyncAggregatorState,
     LatencyModel,
@@ -97,7 +102,6 @@ from .runner import (
     RoundExecutionError,
     RoundRunner,
     RoundTask,
-    SerialRunner,
     WorkerSetup,
 )
 from .server import AggregationSlab, DEFAULT_MAX_UPLOAD_NORM, FederatedServer
@@ -140,9 +144,10 @@ class FederatedConfig:
     # (defaults to client_fraction); sampled from *idle* clients only
     latency: "LatencyModel | LatencySpec | str | None" = None  # arrival model
     # --- client-scale knobs (docs/PERFORMANCE.md "Client scale") ---
-    lazy_clients: bool | None = None  # None -> REPRO_LAZY_CLIENTS forcing
-    arena_size: int = 1  # live model/trainer slots in lazy mode
+    arena_size: int = 1  # live model/trainer slots
     collation_cache_entries: int = 0  # per-dataset batch-cache cap (0 = default)
+    lazy_clients: bool | None = None  # inert: clients are always shards
+    # (kept so existing callers passing True still run; False raises)
 
     def __post_init__(self):
         if self.rounds < 1:
@@ -172,6 +177,11 @@ class FederatedConfig:
             raise ValueError("clients_per_round must be in (0, 1]")
         if self.arena_size < 1:
             raise ValueError("arena_size must be >= 1")
+        if self.lazy_clients is False:
+            raise ValueError(
+                "lazy_clients=False is no longer supported: eager clients "
+                "were removed, every client is a shard trained through the "
+                "model arena (leave lazy_clients unset)")
         if self.collation_cache_entries < 0:
             raise ValueError(
                 "collation_cache_entries must be >= 0 (0 = dataset default)")
@@ -230,9 +240,7 @@ class FederatedResult:
     history: list[RoundRecord]
     ledger: CommunicationLedger
     teacher_result: TeacherTrainingResult | None
-    # Eager: the live client list.  Lazy: a LazyClientList view that
-    # materialises a client from its shard on indexing.
-    clients: "list[FederatedClient] | LazyClientList"
+    clients: LazyClientList  # materialises a client from its shard on indexing
     global_test: TrajectoryDataset
 
 
@@ -326,39 +334,24 @@ class FederatedTrainer:
                 for split in (data.train, data.valid, data.test):
                     split.set_batch_cache_limit(config.collation_cache_entries)
             global_test.set_batch_cache_limit(config.collation_cache_entries)
-        # None defers to the process default (REPRO_LAZY_CLIENTS forcing).
-        self.lazy = resolve_lazy_clients(config.lazy_clients)
-        if self.lazy:
-            # Client count is a data-size problem: each client is a
-            # shard (data + flat session vectors), models live in a
-            # bounded arena, and ``clients`` is a materialise-on-read
-            # view.  The pristine template reproduces the eager
-            # constructor exactly — deterministic factory parameters,
-            # zeroed optimiser moments — and each shard gets the same
-            # seeded batch-shuffle generator an eager client would own.
-            self.arena = ModelArena(model_factory, mask_builder,
-                                    config.training, size=config.arena_size)
-            _, pristine = self.arena.template(self._client_data[0])
-            self.shards = [
-                ClientShard(
-                    client_id=i, data=data,
-                    session=replace(pristine, rng_state=np.random.default_rng(
-                        seed + 101 + i).bit_generator.state),
-                )
-                for i, data in enumerate(self._client_data)
-            ]
-            self.clients = LazyClientList(self)
-        else:
-            self.arena = None
-            self.shards = None
-            self.clients = [
-                FederatedClient(
-                    client_id=i, data=data, model=model_factory(),
-                    mask_builder=mask_builder, training=config.training,
-                    rng=np.random.default_rng(seed + 101 + i),
-                )
-                for i, data in enumerate(self._client_data)
-            ]
+        # Client count is a data-size problem: each client is a shard
+        # (data + flat session vectors), models live in a bounded arena,
+        # and ``clients`` is a materialise-on-read view.  The pristine
+        # template is a freshly built client's state — deterministic
+        # factory parameters, zeroed optimiser moments — and each shard
+        # gets its own seeded batch-shuffle generator.
+        self.arena = ModelArena(model_factory, mask_builder,
+                                config.training, size=config.arena_size)
+        _, pristine = self.arena.template(self._client_data[0])
+        self.shards = [
+            ClientShard(
+                client_id=i, data=data,
+                session=replace(pristine, rng_state=np.random.default_rng(
+                    seed + 101 + i).bit_generator.state),
+            )
+            for i, data in enumerate(self._client_data)
+        ]
+        self.clients = LazyClientList(self)
         # One round's uploads stage into a preallocated float64 slab;
         # decode, validation, and the FedAvg reduction run over one
         # contiguous (C, P) matrix instead of C boxed vectors.
@@ -368,7 +361,7 @@ class FederatedTrainer:
             raise ValueError("workers must be >= 0 (0 = serial)")
         self._runner = runner  # explicit injection wins; else built lazily
         self._teacher_flat: np.ndarray | None = None
-        self._setup_has_teacher = False  # set when a WorkerSetup is built
+        self._setup_has_teacher = False  # the active runner's setup has it
         self._last_accuracy: float | None = None  # held when quorum fails
         self._pool_failures = 0  # consecutive whole-pool failures
 
@@ -376,12 +369,6 @@ class FederatedTrainer:
     # round runner plumbing
     # ------------------------------------------------------------------
     def _worker_setup(self) -> WorkerSetup:
-        # The teacher rides the setup (shipped once per worker at pool
-        # start-up), not each task: tasks built afterwards carry the
-        # ``use_setup_teacher`` sentinel instead of a per-task (P,)
-        # teacher copy.  Runners are built after teacher pre-training,
-        # so the snapshot — when the run has one — exists by now.
-        self._setup_has_teacher = self._teacher_flat is not None
         return WorkerSetup(
             model_factory=self.model_factory,
             client_data=tuple(self._client_data),
@@ -396,18 +383,20 @@ class FederatedTrainer:
 
     def _get_runner(self) -> RoundRunner:
         if self._runner is None:
+            # The teacher rides the setup (shipped once per worker at
+            # pool start-up), not each task: tasks built afterwards
+            # carry the ``use_setup_teacher`` sentinel instead of a
+            # per-task (P,) teacher copy.  Runners are built after
+            # teacher pre-training, so the snapshot — when the run has
+            # one — exists by now.
+            self._setup_has_teacher = self._teacher_flat is not None
             if self.workers > 0:
                 self._runner = ProcessPoolRunner(
                     self._worker_setup(),
                     workers=min(self.workers, len(self._client_data)),
                 )
-            elif self.lazy:
-                # Serial lazy rounds run through the trainer's own
-                # arena — pool-worker semantics (full hydration per
-                # task), at most ``arena_size`` live models.
-                self._runner = ArenaRunner(self._worker_setup(), self.arena)
             else:
-                self._runner = SerialRunner(self.clients, self.fault_plan)
+                self._runner = self._arena_runner()
         return self._runner
 
     def _retry_policy(self) -> RetryPolicy:
@@ -415,12 +404,12 @@ class FederatedTrainer:
                            deadline=self.config.task_deadline,
                            backoff=self.config.task_backoff)
 
-    def _serial_fallback_runner(self) -> RoundRunner:
-        """The in-process runner a broken pool degrades to (arena-backed
-        in lazy mode — live clients don't exist there)."""
-        if self.lazy:
-            return ArenaRunner(self._worker_setup(), self.arena)
-        return SerialRunner(self.clients, self.fault_plan)
+    def _arena_runner(self) -> ArenaRunner:
+        """In-process rounds through the trainer's own arena — pool-
+        worker semantics (full hydration per task), at most
+        ``arena_size`` live models.  Also what a broken pool degrades
+        to."""
+        return ArenaRunner(self._worker_setup(), self.arena)
 
     def _handle_pool_failure(self, reason: Exception) -> RoundRunner:
         """One whole-pool failure: re-run this round serially, keep the
@@ -434,7 +423,7 @@ class FederatedTrainer:
             f"serial execution for this round", RuntimeWarning,
             stacklevel=3,
         )
-        return self._serial_fallback_runner()
+        return self._arena_runner()
 
     def _fall_back_to_serial(self, reason: Exception) -> RoundRunner:
         warnings.warn(
@@ -444,7 +433,8 @@ class FederatedTrainer:
         )
         if self._runner is not None:
             self._runner.close()
-        self._runner = self._serial_fallback_runner()
+        self._runner = self._arena_runner()
+        self._setup_has_teacher = self._teacher_flat is not None
         return self._runner
 
     # ------------------------------------------------------------------
@@ -468,13 +458,6 @@ class FederatedTrainer:
                 f"checkpoint has {len(checkpoint.client_sessions)} clients, "
                 f"trainer has {len(self._client_data)} — not the same "
                 f"federation")
-        if checkpoint.lazy_clients != self.lazy:
-            raise ValueError(
-                "checkpoint client mode does not match the trainer: "
-                f"checkpoint is {'lazy' if checkpoint.lazy_clients else 'eager'}"
-                f", trainer is {'lazy' if self.lazy else 'eager'} "
-                "(set FederatedConfig.lazy_clients to the mode the run "
-                "was checkpointed in)")
         expected = self.server.global_flat(dtype=np.float64).size
         if checkpoint.global_flat.size != expected:
             raise ValueError(
@@ -482,19 +465,14 @@ class FederatedTrainer:
                 f"parameters, this trainer's model has {expected} — not the "
                 f"same federation")
         self.server.load_global_flat(checkpoint.global_flat)
-        if self.lazy:
-            for shard, session, params in zip(self.shards,
-                                              checkpoint.client_sessions,
-                                              checkpoint.client_params):
-                shard.session = session
-                shard.params_flat = (None if params is None else
-                                     np.asarray(params, dtype=np.float64))
-        else:
-            for client, session, params in zip(self.clients,
-                                               checkpoint.client_sessions,
-                                               checkpoint.client_params):
-                client.receive_global_flat(params)
-                client.load_session_state(session)
+        # Files written by live-client runs carry every parameter
+        # vector; they load into the shards all the same.
+        for shard, session, params in zip(self.shards,
+                                          checkpoint.client_sessions,
+                                          checkpoint.client_params):
+            shard.session = session
+            shard.params_flat = (None if params is None else
+                                 np.asarray(params, dtype=np.float64))
         self._rng.bit_generator.state = checkpoint.trainer_rng_state
         ledger.rounds.extend(checkpoint.ledger_rounds)
         history.extend(checkpoint.history)
@@ -513,21 +491,14 @@ class FederatedTrainer:
 
     def _save_checkpoint(self, next_round: int, ledger: CommunicationLedger,
                          history: list[RoundRecord]) -> str:
-        if self.lazy:
-            # Shards *are* the persistent client state: no live objects
-            # to snapshot, and a never-trained shard stays None (the
-            # pristine template) instead of N identical copies.
-            sessions = tuple(shard.session for shard in self.shards)
-            params = tuple(shard.params_flat for shard in self.shards)
-        else:
-            sessions = tuple(c.session_state() for c in self.clients)
-            params = tuple(c.flat_parameters(dtype=np.float64)
-                           for c in self.clients)
+        # Shards *are* the persistent client state, and a never-trained
+        # shard stays None (the pristine template) instead of N
+        # identical copies.
         checkpoint = FederatedCheckpoint(
             next_round=next_round,
             global_flat=self.server.global_flat(dtype=np.float64),
-            client_sessions=sessions,
-            client_params=params,
+            client_sessions=tuple(shard.session for shard in self.shards),
+            client_params=tuple(shard.params_flat for shard in self.shards),
             trainer_rng_state=self._rng.bit_generator.state,
             teacher_flat=self._teacher_flat,
             history=list(history),
@@ -537,35 +508,21 @@ class FederatedTrainer:
             downlink_residual=(None if self._downlink_residual is None
                                else self._downlink_residual.copy()),
             async_state=self._async,
-            lazy_clients=self.lazy,
         )
         return checkpoint.save(
             checkpoint_path(self.config.checkpoint_dir, next_round))
 
-    def _rebuild_distiller(self, teacher_flat: np.ndarray
-                           ) -> MetaKnowledgeDistiller:
-        """A distiller over a teacher rebuilt from its flat snapshot —
-        exactly what pool workers do every round, so resumed
-        distillation is bit-identical to the uninterrupted run."""
-        teacher = self.model_factory()
-        FlatParameterSpace.from_module(teacher).set_flat(teacher_flat)
-        return MetaKnowledgeDistiller(
-            teacher, self.mask_builder, lambda0=self.config.lambda0,
-            lt=self.config.lt, dynamic=self.config.dynamic_lambda,
-        )
-
     # ------------------------------------------------------------------
-    # lazy-client substrate (shards + arena)
+    # client substrate (shards + arena)
     # ------------------------------------------------------------------
     def _materialize_client(self, index: int) -> FederatedClient:
         """Build a fresh live client hydrated from shard ``index``.
 
         This is the :class:`~repro.federated.arena.LazyClientList` read
-        path: inspection-style consumers get exactly the state an eager
-        trainer's live client would hold (current parameters — the
-        factory's pristine ones while ``params_flat`` is None — plus
-        the latest session snapshot).  Writes to the returned object do
-        not propagate back to the shard.
+        path: inspection-style consumers get the client's current
+        parameters (the factory's pristine ones while ``params_flat``
+        is None) plus its latest session snapshot.  Writes to the
+        returned object do not propagate back to the shard.
         """
         shard = self.shards[index]
         client = FederatedClient(
@@ -579,35 +536,20 @@ class FederatedTrainer:
         client.load_session_state(shard.session)
         return client
 
-    def _session_snapshot(self, client_id: int):
-        """The client's current pre-round session (shard or live)."""
-        if self.lazy:
-            return self.shards[client_id].session
-        return self.clients[client_id].session_state()
-
     def _adopt_result(self, result) -> None:
-        """Store a round result's trained state back into the client
-        substrate — the live client in eager mode, the shard in lazy
-        mode.  Runs even when the upload is later rejected: the client
-        trained fine, only its wire payload is bad."""
-        if not self.lazy:
-            if result.session is not None:
-                # The round ran elsewhere (a worker / the arena): adopt
-                # its trained state so the live clients stay
-                # interchangeable with serial runs.
-                self.clients[result.client_id].apply_round_result(
-                    result.upload_flat, result.session, result.params_flat)
-            return
+        """Store a round result's trained state back into its shard.
+        Runs even when the upload is later rejected: the client trained
+        fine, only its wire payload is bad."""
         if result.session is None:
             raise ValueError(
-                "lazy client mode needs state-shipping round results, but "
-                "the runner returned session=None (inject a runner with "
-                "ships_state=True, or run eager clients)")
+                "round results must carry the trained session, but the "
+                "runner returned session=None (an injected runner must "
+                "return client.session_state() with every result)")
         shard = self.shards[result.client_id]
         shard.session = result.session
-        # Mirrors FederatedClient.apply_round_result: the exact float64
-        # snapshot when the exchange dtype is reduced, else the upload
-        # itself (already exact float64 in that case).
+        # The exact float64 snapshot when the exchange dtype is reduced
+        # or the wire is lossy, else the upload itself (already exact
+        # float64 in that case).
         exact = (result.upload_flat if result.params_flat is None
                  else result.params_flat)
         shard.params_flat = np.asarray(exact, dtype=np.float64)
@@ -619,7 +561,6 @@ class FederatedTrainer:
         """Teacher pre-training (optional) + Algorithm 3 rounds."""
         resume = self._load_resume_checkpoint()
         teacher_result = None
-        distiller = None
         if self.config.use_meta:
             if resume is not None:
                 if resume.teacher_flat is None:
@@ -627,18 +568,12 @@ class FederatedTrainer:
                         "use_meta=True but the checkpoint has no teacher "
                         "state (it was taken from a use_meta=False run)")
                 self._teacher_flat = resume.teacher_flat
-                distiller = self._rebuild_distiller(resume.teacher_flat)
             else:
                 teacher_result = self._train_teacher()
                 _warn_if_teacher_untrained(teacher_result, self.config.lt)
-                distiller = MetaKnowledgeDistiller(
-                    teacher_result.teacher, self.mask_builder,
-                    lambda0=self.config.lambda0, lt=self.config.lt,
-                    dynamic=self.config.dynamic_lambda,
-                )
                 # The teacher is frozen after pre-training: snapshot it once
                 # (always float64 — the teacher never crosses the wire as a
-                # true upload) for worker-side distiller reconstruction.
+                # true upload); every runner distils from this snapshot.
                 self._teacher_flat = FlatParameterSpace.from_module(
                     teacher_result.teacher).get_flat(dtype=np.float64)
 
@@ -651,7 +586,7 @@ class FederatedTrainer:
                    else self._run_round)
         try:
             for round_index in range(start_round, self.config.rounds):
-                record = run_one(round_index, distiller, ledger)
+                record = run_one(round_index, ledger)
                 history.append(record)
                 if (self.config.checkpoint_every
                         and (round_index + 1) % self.config.checkpoint_every == 0):
@@ -703,27 +638,21 @@ class FederatedTrainer:
             self._downlink_residual = residual
         return payload, decoded, payload_num_bytes(payload)
 
-    def _build_tasks(self, selected: list[int], wire,
-                     distiller: MetaKnowledgeDistiller | None,
-                     round_index: int, ship_sessions: bool,
+    def _build_tasks(self, selected: list[int], wire, round_index: int,
                      defer_stragglers: bool = False) -> list[RoundTask]:
         # When the active runner's WorkerSetup already carries the
         # frozen teacher, tasks ship the use_setup_teacher sentinel
         # instead of a per-task (P,) teacher copy — one pickle per
-        # worker, not one per task.  (SerialRunner ignores both and
-        # uses the live distiller argument.)
-        use_setup = distiller is not None and self._setup_has_teacher
+        # worker, not one per task.
+        use_setup = self._setup_has_teacher
         return [
             RoundTask(
                 client_id=client_id,
                 global_flat=wire,
                 epochs=self.config.local_epochs,
-                teacher_flat=(self._teacher_flat
-                              if distiller is not None and not use_setup
-                              else None),
+                teacher_flat=None if use_setup else self._teacher_flat,
                 use_setup_teacher=use_setup,
-                session=(self._session_snapshot(client_id)
-                         if ship_sessions else None),
+                session=self.shards[client_id].session,
                 fused_kernels=nn.fused_kernels_enabled(),
                 sparse_masks=nn.sparse_masks_enabled(),
                 packed_decode=nn.packed_decode_enabled(),
@@ -736,13 +665,12 @@ class FederatedTrainer:
             for client_id in selected  # ascending: fixes aggregation order
         ]
 
-    def _execute_tasks(self, runner: RoundRunner, tasks: list[RoundTask],
-                       distiller: MetaKnowledgeDistiller | None):
+    def _execute_tasks(self, runner: RoundRunner, tasks: list[RoundTask]):
         """Run one round's tasks with the pool-failure fallback."""
         policy = self._retry_policy()
         fallback_cause = ""
         try:
-            execution = runner.run_round_tolerant(tasks, distiller, policy)
+            execution = runner.run_round_tolerant(tasks, policy)
             if runner.fallible:
                 self._pool_failures = 0
         except RoundExecutionError as exc:
@@ -752,7 +680,7 @@ class FederatedTrainer:
             # the serial re-run restores them and continues bit-exactly.
             fallback_cause = str(exc)
             serial = self._handle_pool_failure(exc)
-            execution = serial.run_round_tolerant(tasks, distiller, policy)
+            execution = serial.run_round_tolerant(tasks, policy)
         return execution, fallback_cause
 
     def _upload_bytes(self, result) -> int:
@@ -770,7 +698,6 @@ class FederatedTrainer:
         return self._last_accuracy
 
     def _run_round(self, round_index: int,
-                   distiller: MetaKnowledgeDistiller | None,
                    ledger: CommunicationLedger) -> RoundRecord:
         selected = self.server.select_clients(
             len(self.clients), self.config.client_fraction, self._rng
@@ -779,14 +706,8 @@ class FederatedTrainer:
         # privatisation, and the stacked (C, P) average.
         wire, reference, bytes_down = self._broadcast_payload()
         runner = self._get_runner()
-        # Sessions ship whenever the round may be re-executed: a pool
-        # worker needs them anyway, and a serial retry must rewind the
-        # live client to the exact pre-round state.
-        ship_sessions = runner.ships_state or self.fault_plan is not None
-        tasks = self._build_tasks(selected, wire, distiller, round_index,
-                                  ship_sessions)
-        execution, fallback_cause = self._execute_tasks(runner, tasks,
-                                                        distiller)
+        tasks = self._build_tasks(selected, wire, round_index)
+        execution, fallback_cause = self._execute_tasks(runner, tasks)
 
         failures = list(execution.failures)
         results = execution.results  # task (= ascending client-id) order
@@ -911,7 +832,6 @@ class FederatedTrainer:
         return staleness
 
     def _run_async_wave(self, wave: int,
-                        distiller: MetaKnowledgeDistiller | None,
                         ledger: CommunicationLedger) -> RoundRecord:
         """One async wave: dispatch idle clients, then advance virtual
         time until the next buffer flush (or the wire runs dry).
@@ -938,11 +858,9 @@ class FederatedTrainer:
         bytes_down = 0
         if selected:
             wire, reference, bytes_down = self._broadcast_payload()
-            ship_sessions = runner.ships_state or self.fault_plan is not None
-            tasks = self._build_tasks(selected, wire, distiller, wave,
-                                      ship_sessions, defer_stragglers=True)
-            execution, fallback_cause = self._execute_tasks(runner, tasks,
-                                                            distiller)
+            tasks = self._build_tasks(selected, wire, wave,
+                                      defer_stragglers=True)
+            execution, fallback_cause = self._execute_tasks(runner, tasks)
 
         # Stage the survivors' uploads on the virtual wire.  Validation
         # and privatisation happen at dispatch — the payload does not
@@ -1060,9 +978,9 @@ def train_isolated_then_average(model_factory: Callable[[], RecoveryModel],
     total_epochs = config.rounds * config.local_epochs
     flats, losses = [], []
     upload_bytes: list[int] = []
-    for i in range(len(trainer.clients)):
-        # Lazy mode: indexing materialises one live client at a time
-        # from its shard; the trained state is written back below so
+    for i, shard in enumerate(trainer.shards):
+        # Indexing materialises one live client at a time from its
+        # shard; the trained state is written back below so
         # result.clients reflects the training.
         client = trainer.clients[i]
         epoch_losses = client.trainer.train_epochs(client.data.train,
@@ -1077,10 +995,8 @@ def train_isolated_then_average(model_factory: Callable[[], RecoveryModel],
             flats.append(decoded)
             upload_bytes.append(payload_num_bytes(payload))
         losses.append(float(np.mean(epoch_losses)))
-        if trainer.lazy:
-            shard = trainer.shards[i]
-            shard.session = client.session_state()
-            shard.params_flat = client.flat_parameters(dtype=np.float64)
+        shard.session = client.session_state()
+        shard.params_flat = client.flat_parameters(dtype=np.float64)
     trainer.server.aggregate_flat(flats)
     ledger = CommunicationLedger()
     # One exchange at the end: every client ships its model to the others.

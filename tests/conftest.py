@@ -39,19 +39,6 @@ sync-vs-isolated parities that only hold for the identity codec —
 carry the ``identity_exchange`` marker and are skipped under forcing;
 everything else must pass with quantisation active.  See
 docs/PERFORMANCE.md.
-
-Lazy-clients forcing
---------------------
-Setting ``REPRO_LAZY_CLIENTS=1`` (the CI lazy-clients leg) runs every
-:class:`~repro.federated.trainer.FederatedTrainer` that did not pin
-``lazy_clients`` explicitly through the shard + model-arena substrate
-(:func:`repro.federated.set_lazy_clients`), which is bit-identical to
-eager clients — round histories, checkpoints, and ledgers match
-exactly.  The few tests that *mutate* live-client internals (sabotage
-via ``trainer.clients[i].x = ...``) carry the ``eager_clients`` marker
-and are skipped under forcing: a lazy ``clients[i]`` read materialises
-a fresh throwaway view, so in-place sabotage cannot reach the round
-loop.  See docs/PERFORMANCE.md "Client scale".
 """
 
 from __future__ import annotations
@@ -81,14 +68,6 @@ if _FORCED_CODEC:
 
     set_exchange_codec(_FORCED_CODEC)
 
-# Lazy-clients forcing (the CI lazy-clients leg): validate the value
-# eagerly so a typo fails collection, not the first federated test.
-_FORCED_LAZY = os.environ.get("REPRO_LAZY_CLIENTS")
-if _FORCED_LAZY:
-    from repro.federated import set_lazy_clients
-
-    set_lazy_clients(_FORCED_LAZY)
-
 
 def pytest_collection_modifyitems(config, items):
     if _FORCED_FAULT_PLAN:
@@ -105,16 +84,6 @@ def pytest_collection_modifyitems(config, items):
         for item in items:
             if "identity_exchange" in item.keywords:
                 item.add_marker(skip_lossy)
-    if _FORCED_LAZY:
-        from repro.federated import get_lazy_clients
-
-        if get_lazy_clients():
-            skip_live = pytest.mark.skip(
-                reason=f"live-client contract (REPRO_LAZY_CLIENTS forces "
-                       f"{_FORCED_LAZY!r}; see docs/PERFORMANCE.md)")
-            for item in items:
-                if "eager_clients" in item.keywords:
-                    item.add_marker(skip_live)
     if np.dtype(_FORCED_DTYPE or "float64") == np.dtype(np.float64):
         return
     skip = pytest.mark.skip(

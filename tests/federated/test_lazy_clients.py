@@ -1,11 +1,13 @@
-"""Lazy client materialisation: shards + model arena + aggregation slab.
+"""The client substrate: shards + model arena + aggregation slab.
 
-The tentpole contract is bitwise equivalence: a lazy run (client state
-in flat shards, models in a bounded arena, uploads staged into the
-aggregation slab) must reproduce the eager run — round histories,
-final global parameters, per-client state, checkpoints — bit for bit,
-under every composition: sync and async waves, serial and pool
-backends, fault plans, lossy exchange codecs, and resume.
+The contract is bitwise equivalence: a run through the trainer's own
+substrate (client state in flat shards, models in a bounded arena,
+uploads staged into the aggregation slab) must reproduce ``N``
+persistent live clients (:mod:`live_client_oracle`) — round histories,
+final global parameters, per-client parameters and RNG state — bit for
+bit, under every composition: sync and async waves, distillation,
+fault plans and lossy exchange codecs; and checkpoints written by
+either client model resume bit-identically.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import multiprocessing as mp
 
 import numpy as np
 import pytest
+from live_client_oracle import live_trainer
 
 from repro.core import ConstraintMaskBuilder, LTEModel, TrainingConfig
 from repro.federated import (
@@ -29,7 +32,6 @@ from repro.federated import (
     build_federation,
     checkpoint_path,
     latest_checkpoint,
-    use_lazy_clients,
 )
 
 HAVE_FORK = "fork" in mp.get_all_start_methods()
@@ -63,100 +65,93 @@ def fed_config(rounds=2, use_meta=False, **kwargs):
     )
 
 
-def run_mode(federation, mask, tiny_config, *, lazy, seed=0, **kwargs):
+def run_arena(federation, mask, tiny_config, *, seed=0, **kwargs):
     clients, global_test = federation
     trainer = FederatedTrainer(
-        lte_factory(tiny_config), clients, mask,
-        fed_config(lazy_clients=lazy, **kwargs), global_test, seed=seed,
+        lte_factory(tiny_config), clients, mask, fed_config(**kwargs),
+        global_test, seed=seed,
     )
-    result = trainer.run()
-    return trainer, result
+    return trainer, trainer.run()
 
 
-class TestLazyEagerBitwise:
-    def test_sync_round_history_matches(self, federation, mask, tiny_config):
-        eager_tr, eager = run_mode(federation, mask, tiny_config, lazy=False)
-        lazy_tr, lazy = run_mode(federation, mask, tiny_config, lazy=True)
-        assert eager.history == lazy.history
-        assert np.array_equal(eager_tr.server.global_flat(dtype=np.float64),
-                              lazy_tr.server.global_flat(dtype=np.float64))
+def assert_matches_live_oracle(federation, mask, tiny_config, **kwargs):
+    """Run the arena path and the live-client oracle; compare them."""
+    arena_tr, arena = run_arena(federation, mask, tiny_config, **kwargs)
+    clients, global_test = federation
+    live_tr, runner = live_trainer(lte_factory(tiny_config), clients, mask,
+                                   fed_config(**kwargs), global_test, seed=0)
+    live = live_tr.run()
+    assert arena.history == live.history
+    assert np.array_equal(arena_tr.server.global_flat(dtype=np.float64),
+                          live_tr.server.global_flat(dtype=np.float64))
+    assert isinstance(arena.clients, LazyClientList)
+    assert len(arena.clients) == len(live.clients) == len(runner.clients)
+    for view, adopted, client in zip(arena.clients, live.clients,
+                                     runner.clients):
+        params = view.flat_parameters(dtype=np.float64)
+        rng_state = view.session_state().rng_state
+        # The live oracle's own clients, and the shards that adopted its
+        # results, both hold the arena path's state.
+        for other in (adopted, client):
+            assert np.array_equal(params,
+                                  other.flat_parameters(dtype=np.float64))
+            assert rng_state == other.session_state().rng_state
+    return arena, live
 
-    def test_materialised_clients_match_live_clients(self, federation, mask,
-                                                     tiny_config):
-        _, eager = run_mode(federation, mask, tiny_config, lazy=False)
-        _, lazy = run_mode(federation, mask, tiny_config, lazy=True)
-        assert isinstance(lazy.clients, LazyClientList)
-        assert len(lazy.clients) == len(eager.clients)
-        for live, view in zip(eager.clients, lazy.clients):
-            assert np.array_equal(live.flat_parameters(dtype=np.float64),
-                                  view.flat_parameters(dtype=np.float64))
-            assert live.session_state().rng_state == \
-                view.session_state().rng_state
 
-    def test_meta_distillation_matches(self, federation, mask, tiny_config):
-        _, eager = run_mode(federation, mask, tiny_config, lazy=False,
-                            use_meta=True)
-        _, lazy = run_mode(federation, mask, tiny_config, lazy=True,
-                           use_meta=True)
-        assert eager.history == lazy.history
+class TestArenaMatchesLiveOracle:
+    def test_sync_rounds(self, federation, mask, tiny_config):
+        assert_matches_live_oracle(federation, mask, tiny_config)
+
+    def test_meta_distillation(self, federation, mask, tiny_config):
+        arena, _ = assert_matches_live_oracle(federation, mask, tiny_config,
+                                              use_meta=True)
+        assert arena.teacher_result is not None
+
+    def test_async_waves(self, federation, mask, tiny_config):
+        assert_matches_live_oracle(
+            federation, mask, tiny_config, rounds=4, async_buffer=2,
+            staleness_alpha=0.5, latency="base=1.0,jitter=0.5,seed=5")
+
+    def test_int8_codec(self, federation, mask, tiny_config):
+        arena, live = assert_matches_live_oracle(
+            federation, mask, tiny_config, exchange_codec="int8")
+        ledger_bytes = [(c.bytes_down, c.bytes_up) for c in arena.ledger.rounds]
+        assert ledger_bytes == [(c.bytes_down, c.bytes_up)
+                                for c in live.ledger.rounds]
+
+    @pytest.mark.parametrize("plan,retries,kinds", [
+        ("crash=0.3,dropout=0.2,seed=11", 2, set()),
+        ("crash=0.3,corrupt=0.3,straggler=0.2,delay=0.001,seed=1", 1,
+         {"crash", "rejected"}),
+    ], ids=["retried", "crashed-and-corrupted"])
+    def test_fault_plan(self, federation, mask, tiny_config, plan, retries,
+                        kinds):
+        # Same failures, same retries, same survivors, same floats.
+        arena, _ = assert_matches_live_oracle(
+            federation, mask, tiny_config, rounds=4, fault_plan=plan,
+            task_retries=retries)
+        assert any(record.retries for record in arena.history)
+        failed = {kind for record in arena.history
+                  for kind in record.failure_kinds}
+        assert kinds <= failed
 
     def test_arena_size_does_not_change_results(self, federation, mask,
                                                 tiny_config):
-        _, one = run_mode(federation, mask, tiny_config, lazy=True,
-                          arena_size=1)
-        _, three = run_mode(federation, mask, tiny_config, lazy=True,
-                            arena_size=3)
+        _, one = run_arena(federation, mask, tiny_config, arena_size=1)
+        _, three = run_arena(federation, mask, tiny_config, arena_size=3)
         assert one.history == three.history
 
-    def test_async_wave_history_matches(self, federation, mask, tiny_config):
-        kwargs = dict(rounds=4, async_buffer=2, staleness_alpha=0.5,
-                      latency="base=1.0,jitter=0.5,seed=5")
-        _, eager = run_mode(federation, mask, tiny_config, lazy=False,
-                            **kwargs)
-        _, lazy = run_mode(federation, mask, tiny_config, lazy=True, **kwargs)
-        assert eager.history == lazy.history
-
-    def test_int8_codec_composes(self, federation, mask, tiny_config):
-        _, eager = run_mode(federation, mask, tiny_config, lazy=False,
-                            exchange_codec="int8")
-        _, lazy = run_mode(federation, mask, tiny_config, lazy=True,
-                           exchange_codec="int8")
-        assert eager.history == lazy.history
-        ledger_bytes = [(c.bytes_down, c.bytes_up) for c in eager.ledger.rounds]
-        assert ledger_bytes == [(c.bytes_down, c.bytes_up)
-                                for c in lazy.ledger.rounds]
-
     @needs_fork
-    def test_pool_matches_lazy_serial(self, federation, mask, tiny_config):
-        _, serial = run_mode(federation, mask, tiny_config, lazy=True)
-        _, pool = run_mode(federation, mask, tiny_config, lazy=True,
-                           workers=2)
+    def test_pool_matches_arena(self, federation, mask, tiny_config):
+        _, serial = run_arena(federation, mask, tiny_config)
+        _, pool = run_arena(federation, mask, tiny_config, workers=2)
         assert serial.history == pool.history
 
-    def test_fault_retry_rehydrates_exactly(self, federation, mask,
-                                            tiny_config):
-        kwargs = dict(rounds=4, fault_plan="crash=0.3,dropout=0.2,seed=11",
-                      task_retries=2)
-        _, eager = run_mode(federation, mask, tiny_config, lazy=False,
-                            **kwargs)
-        _, lazy = run_mode(federation, mask, tiny_config, lazy=True, **kwargs)
-        # Same failures, same retries, same survivors, same floats.
-        assert eager.history == lazy.history
-
-    def test_env_forcing_applies_when_config_is_none(self, federation, mask,
-                                                     tiny_config):
-        clients, global_test = federation
-        with use_lazy_clients(True):
-            trainer = FederatedTrainer(lte_factory(tiny_config), clients,
-                                       mask, fed_config(), global_test,
-                                       seed=0)
-        assert trainer.lazy
-        assert isinstance(trainer.clients, LazyClientList)
-        with use_lazy_clients(False):
-            trainer = FederatedTrainer(lte_factory(tiny_config), clients,
-                                       mask, fed_config(), global_test,
-                                       seed=0)
-        assert not trainer.lazy
+    def test_lazy_clients_false_rejected(self):
+        assert FederatedConfig(lazy_clients=True).lazy_clients is True
+        with pytest.raises(ValueError, match="eager clients were removed"):
+            FederatedConfig(lazy_clients=False)
 
 
 class TestArenaHygiene:
@@ -182,20 +177,15 @@ class TestArenaHygiene:
 
     def test_no_state_bleed_between_clients(self, federation, mask,
                                             tiny_config):
-        """Two clients sharing one arena slot train exactly like two
-        eager clients owning private models."""
-        _, eager = run_mode(federation, mask, tiny_config, lazy=False,
-                            rounds=3)
-        _, lazy = run_mode(federation, mask, tiny_config, lazy=True,
-                           rounds=3, arena_size=1)
-        for live, view in zip(eager.clients, lazy.clients):
-            assert np.array_equal(live.flat_parameters(dtype=np.float64),
-                                  view.flat_parameters(dtype=np.float64))
+        """Clients sharing one arena slot train exactly like live
+        clients owning private models."""
+        assert_matches_live_oracle(federation, mask, tiny_config, rounds=3,
+                                   arena_size=1)
 
     def test_materialised_view_is_isolated(self, federation, mask,
                                            tiny_config):
         """Mutating a materialised client cannot corrupt the shard."""
-        trainer, _ = run_mode(federation, mask, tiny_config, lazy=True)
+        trainer, _ = run_arena(federation, mask, tiny_config)
         before = trainer.shards[0].params_flat.copy()
         view = trainer.clients[0]
         view.flat_parameters()  # read is fine
@@ -212,7 +202,7 @@ class TestArenaHygiene:
         clients, global_test = federation
         trainer = FederatedTrainer(
             lte_factory(tiny_config), clients, mask,
-            fed_config(rounds=1, client_fraction=0.34, lazy_clients=True),
+            fed_config(rounds=1, client_fraction=0.34),
             global_test, seed=0)
         pristine_opt = trainer.arena.pristine_session.optimizer_state
         assert all(s.params_flat is None for s in trainer.shards)
@@ -282,7 +272,7 @@ class TestSlabAggregation:
             server.aggregate_rows(slab.rows(0))
 
 
-class TestLazyCheckpointResume:
+class TestCheckpointResume:
     CKPT_KW = dict(rounds=4, exchange_codec="int8", async_buffer=2,
                    staleness_alpha=0.5, latency="base=1.0,jitter=0.5,seed=5")
 
@@ -291,23 +281,23 @@ class TestLazyCheckpointResume:
         return FederatedTrainer(lte_factory(tiny_config), clients, mask,
                                 fed_config(**kwargs), global_test, seed=0)
 
-    def test_bitwise_resume_lazy_int8_async(self, federation, mask,
-                                            tiny_config, tmp_path):
-        """The acceptance composition: lazy + int8 codec + async waves,
+    def test_bitwise_resume_int8_async(self, federation, mask,
+                                       tiny_config, tmp_path):
+        """The acceptance composition: shards + int8 codec + async waves,
         killed at the round-2 checkpoint and resumed from a fresh
         trainer, matches the uninterrupted run bit for bit.  The kill
         is simulated from the full run's *intermediate* checkpoint —
         async waves know the final round drains the wire, so a shorter
         run would be legitimately different."""
         straight = self.make_trainer(
-            federation, mask, tiny_config, lazy_clients=True,
+            federation, mask, tiny_config,
             checkpoint_every=2, checkpoint_dir=str(tmp_path),
             **self.CKPT_KW)
         full = straight.run()
         midpoint = checkpoint_path(str(tmp_path), 2)
 
         resumed_trainer = self.make_trainer(
-            federation, mask, tiny_config, lazy_clients=True,
+            federation, mask, tiny_config,
             resume_from=midpoint, **self.CKPT_KW)
         resumed = resumed_trainer.run()
         assert resumed.history == full.history
@@ -319,56 +309,69 @@ class TestLazyCheckpointResume:
                                      straight.shards):
             assert np.array_equal(shard.params_flat, full_shard.params_flat)
 
-    def test_lazy_checkpoint_preserves_pristine_none(self, federation, mask,
-                                                     tiny_config, tmp_path):
+    def test_checkpoint_preserves_pristine_none(self, federation, mask,
+                                                tiny_config, tmp_path):
         trainer = self.make_trainer(
-            federation, mask, tiny_config, lazy_clients=True, rounds=1,
+            federation, mask, tiny_config, rounds=1,
             client_fraction=0.34, checkpoint_every=1,
             checkpoint_dir=str(tmp_path))
         trainer.run()
         ckpt = FederatedCheckpoint.load(latest_checkpoint(str(tmp_path)))
-        assert ckpt.lazy_clients
         assert ckpt.version == 3
         assert any(p is None for p in ckpt.client_params)  # unsampled shards
 
-    def test_mode_mismatch_rejected(self, federation, mask, tiny_config,
-                                    tmp_path):
-        trainer = self.make_trainer(
-            federation, mask, tiny_config, lazy_clients=True, rounds=2,
-            checkpoint_every=2, checkpoint_dir=str(tmp_path))
-        trainer.run()
-        eager = self.make_trainer(
-            federation, mask, tiny_config, lazy_clients=False, rounds=4,
-            checkpoint_every=2, checkpoint_dir=str(tmp_path),
-            resume_from=str(tmp_path))
-        with pytest.raises(ValueError, match="client mode does not match"):
-            eager.run()
+    @pytest.mark.parametrize("version", [2, 3])
+    def test_live_client_checkpoint_resumes_into_shards(
+            self, federation, mask, tiny_config, tmp_path, version):
+        """Files written by live-client runs — every parameter vector
+        present; version 3 also pickled ``lazy_clients=False``, version
+        2 predates the attribute — resume into shards bit-identically."""
+        kwargs = dict(rounds=3, client_fraction=0.34)
+        straight = self.make_trainer(
+            federation, mask, tiny_config, checkpoint_every=1,
+            checkpoint_dir=str(tmp_path / "run"), **kwargs)
+        full = straight.run()
+        ckpt = FederatedCheckpoint.load(
+            checkpoint_path(str(tmp_path / "run"), 1))
+        assert any(p is None for p in ckpt.client_params)
+        pristine = straight.arena.pristine_params
+        ckpt.client_params = tuple(pristine.copy() if p is None else p
+                                   for p in ckpt.client_params)
+        ckpt.version = version
+        if version == 3:
+            ckpt.__dict__["lazy_clients"] = False
+        live_file = ckpt.save(checkpoint_path(str(tmp_path / "live"), 1))
+
+        resumed_trainer = self.make_trainer(
+            federation, mask, tiny_config, resume_from=live_file, **kwargs)
+        resumed = resumed_trainer.run()
+        assert resumed.history == full.history
+        assert np.array_equal(
+            straight.server.global_flat(dtype=np.float64),
+            resumed_trainer.server.global_flat(dtype=np.float64))
 
     def test_v2_checkpoint_still_loads(self, tmp_path):
-        """A pre-PR-10 pickle (version 2, no lazy_clients attribute)
-        loads and reads as an eager checkpoint."""
+        """A version-2 pickle loads with its parameter vectors intact."""
         checkpoint = FederatedCheckpoint(
             next_round=1, global_flat=np.zeros(4), client_sessions=(),
             client_params=(np.ones(4),), trainer_rng_state={},
             teacher_flat=None)
         checkpoint.version = 2
-        del checkpoint.__dict__["lazy_clients"]  # as pickled by PR 9
         path = checkpoint.save(checkpoint_path(str(tmp_path), 1))
         loaded = FederatedCheckpoint.load(path)
         assert loaded.version == 2
-        assert loaded.lazy_clients is False
+        assert np.array_equal(loaded.client_params[0], np.ones(4))
 
 
 class TestArenaRunnerUnits:
     def test_requires_state_shipping_results(self, federation, mask,
                                              tiny_config):
-        """A lazy trainer rejects injected runners whose results don't
+        """The trainer rejects injected runners whose results don't
         carry session state — shards would silently stop advancing."""
 
         class StatelessRunner(ArenaRunner):
-            def run_round_tolerant(self, tasks, distiller=None, policy=None):
-                execution = super().run_round_tolerant(tasks, distiller,
-                                                       policy)
+            def run_round_tolerant(self, tasks, policy=None):
+                execution = super().run_round_tolerant(tasks, policy)
                 for i, result in enumerate(execution.results):
                     execution.results[i] = dataclasses.replace(result,
                                                                session=None)
@@ -377,10 +380,10 @@ class TestArenaRunnerUnits:
         clients, global_test = federation
         trainer = FederatedTrainer(
             lte_factory(tiny_config), clients, mask,
-            fed_config(rounds=1, lazy_clients=True), global_test, seed=0)
+            fed_config(rounds=1), global_test, seed=0)
         trainer._runner = StatelessRunner(trainer._worker_setup(),
                                           trainer.arena)
-        with pytest.raises(ValueError, match="ships_state"):
+        with pytest.raises(ValueError, match="session=None"):
             trainer.run()
 
     def test_setup_teacher_sentinel_requires_snapshot(self, federation, mask,
@@ -389,7 +392,7 @@ class TestArenaRunnerUnits:
         clients, global_test = federation
         trainer = FederatedTrainer(
             lte_factory(tiny_config), clients, mask,
-            fed_config(rounds=1, lazy_clients=True), global_test, seed=0)
+            fed_config(rounds=1), global_test, seed=0)
         executor = TaskExecutor(trainer._worker_setup(), trainer.arena)
         task = RoundTask(client_id=0,
                          global_flat=trainer.server.global_flat(),

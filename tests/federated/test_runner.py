@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -17,12 +18,13 @@ import pytest
 from repro import nn
 from repro.core import ConstraintMaskBuilder, LTEModel, TrainingConfig
 from repro.federated import (
+    ArenaRunner,
+    FederatedClient,
     FederatedConfig,
     FederatedTrainer,
     ProcessPoolRunner,
     RoundExecutionError,
     RoundRunner,
-    SerialRunner,
     build_federation,
 )
 
@@ -139,11 +141,10 @@ class TestSmoke:
 class _ExplodingRunner(RoundRunner):
     """A parallel-looking runner whose every round fails."""
 
-    ships_state = True
     fallible = True
     closed = False
 
-    def run_round(self, tasks, distiller=None):
+    def run_round(self, tasks):
         raise RoundExecutionError("injected failure")
 
     def close(self):
@@ -187,21 +188,25 @@ class TestFallback:
         serial, _ = run_trainer(federation, mask, tiny_config, rounds=1)
         assert serial.history == result.history
 
-    @pytest.mark.eager_clients
     def test_serial_runner_errors_propagate(self, federation, mask,
-                                            tiny_config):
-        """Serial execution errors are real errors, not fallback fodder."""
+                                            tiny_config, monkeypatch):
+        """Serial execution errors are real errors, not fallback fodder,
+        and the failed task still returns its arena slot."""
         clients, global_test = federation
-
-        def broken_factory():
-            return LTEModel(tiny_config, np.random.default_rng(33))
-
-        trainer = FederatedTrainer(broken_factory, clients, mask,
+        trainer = FederatedTrainer(lte_factory(tiny_config), clients, mask,
                                    fed_config(rounds=1), global_test, seed=0)
-        # Sabotage: empty the first client's training set reference.
-        trainer.clients[0].trainer.train_epochs = None
-        with pytest.raises(TypeError):
-            trainer.run()
+        free_before = list(trainer.arena._free)
+
+        def sabotaged(self, epochs, distiller=None):
+            raise TypeError("sabotaged local training")
+
+        monkeypatch.setattr(FederatedClient, "local_train_flat", sabotaged)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(TypeError, match="sabotaged"):
+                trainer.run()
+        assert not [w for w in caught if "falling back" in str(w.message)]
+        assert trainer.arena._free == free_before
 
 
 class TestRunnerUnits:
@@ -223,11 +228,8 @@ class TestRunnerUnits:
         clients, global_test = federation
         trainer = FederatedTrainer(lte_factory(tiny_config), clients, mask,
                                    fed_config(), global_test, seed=0)
-        # In-process execution is the workers=0 default either way; the
-        # lazy-clients leg routes it through the arena.
-        from repro.federated import ArenaRunner
-        expected = ArenaRunner if trainer.lazy else SerialRunner
-        assert isinstance(trainer._get_runner(), expected)
+        # In-process execution through the arena is the workers=0 default.
+        assert isinstance(trainer._get_runner(), ArenaRunner)
 
     @needs_fork
     def test_workers_capped_at_client_count(self, federation, mask,

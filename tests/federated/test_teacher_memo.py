@@ -2,16 +2,17 @@
 
 ``MetaKnowledgeDistiller.lambda_for_client`` (Algorithm 2's gate)
 memoises ``acc_teacher`` per validation split.  The contract under
-test: exactly one teacher decode per distinct client per run on every
-execution path, and round histories and the final global vector
-bitwise equal to a distiller that re-decodes the teacher on every call
-(the oracle below).
+test: exactly one teacher decode per distinct client per run, and round
+histories and the final global vector bitwise equal to a distiller
+that re-decodes the teacher on every call (the oracle below) — run
+either through the arena or through the live-client oracle.
 """
 
 from __future__ import annotations
 
 import importlib
 
+import live_client_oracle
 import numpy as np
 import pytest
 
@@ -87,35 +88,45 @@ def lte_factory(config):
     return factory
 
 
-def run(federation, mask, tiny_config, **overrides):
+def run(federation, mask, tiny_config, live=False, **overrides):
     clients, global_test = federation
     config = FederatedConfig(
         rounds=3, client_fraction=0.75, local_epochs=1,
         training=TrainingConfig(epochs=1, batch_size=8, lr=3e-3),
         use_meta=True, lt=0.0, **overrides,
     )
-    trainer = FederatedTrainer(lte_factory(tiny_config), clients, mask,
-                               config, global_test, seed=0)
+    if live:
+        trainer, _ = live_client_oracle.live_trainer(
+            lte_factory(tiny_config), clients, mask, config, global_test,
+            seed=0)
+    else:
+        trainer = FederatedTrainer(lte_factory(tiny_config), clients, mask,
+                                   config, global_test, seed=0)
     result = trainer.run()
     return result.history, trainer.server.global_flat()
 
 
 MODES = {
-    "eager-serial": dict(lazy_clients=False),
-    "lazy-arena": dict(lazy_clients=True),
-    "buffered-async": dict(lazy_clients=False, async_buffer=2),
+    "sync": dict(),
+    "buffered-async": dict(async_buffer=2),
 }
 
 
+@pytest.mark.parametrize("oracle_path", ["arena", "live-clients"])
 @pytest.mark.parametrize("mode", sorted(MODES))
 def test_one_teacher_decode_per_client_and_bitwise_equal_to_oracle(
-        federation, mask, tiny_config, teacher_decodes, monkeypatch, mode):
+        federation, mask, tiny_config, teacher_decodes, monkeypatch, mode,
+        oracle_path):
+    """The memoised arena path against an always-evaluating oracle run
+    through the arena itself or through persistent live clients."""
     with monkeypatch.context() as patch:
-        for module in ("repro.federated.trainer", "repro.federated.runner"):
-            patch.setattr(importlib.import_module(module),
-                          "MetaKnowledgeDistiller", AlwaysEvaluateDistiller)
-        oracle_history, oracle_flat = run(federation, mask, tiny_config,
-                                          **MODES[mode])
+        for module in (importlib.import_module("repro.federated.runner"),
+                       live_client_oracle):
+            patch.setattr(module, "MetaKnowledgeDistiller",
+                          AlwaysEvaluateDistiller)
+        oracle_history, oracle_flat = run(
+            federation, mask, tiny_config, live=oracle_path == "live-clients",
+            **MODES[mode])
     oracle_splits = [id(split) for split in teacher_decodes]
     teacher_decodes.clear()
 
@@ -173,7 +184,7 @@ def test_all_rejected_teacher_warns(federation, mask, tiny_config):
     config = FederatedConfig(
         rounds=1, client_fraction=0.5, local_epochs=1,
         training=TrainingConfig(epochs=1, batch_size=8, lr=3e-3),
-        use_meta=True, lt=1.0, lazy_clients=False,
+        use_meta=True, lt=1.0,
     )
     trainer = FederatedTrainer(lte_factory(tiny_config), clients, mask,
                                config, global_test, seed=0)
