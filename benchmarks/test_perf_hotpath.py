@@ -30,7 +30,8 @@ cannot beat serial on a single-core container); ``cpus`` is recorded
 alongside the numbers so the JSON is interpretable either way.
 
 The baseline epoch leg reconstructs the *pre-PR* hot path faithfully:
-per-step tape kernels (``use_fused_kernels(False)``), the per-point
+per-step tape kernels (``reference_kernels()`` from
+``tests/reference_paths.py``), the per-point
 ``ConstraintMaskBuilder.build_reference`` double loop, and a
 per-parameter-tensor Adam/clip loop.  Marked ``slow``: tier-1
 (`pytest -x -q`) skips it; run with
@@ -43,6 +44,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+import sys
 import time
 
 import numpy as np
@@ -60,6 +62,11 @@ from repro.serving import decode_model
 from repro.spatial import grid_city
 
 from conftest import update_bench
+
+# The per-step reference kernels are test oracles (tests/reference_paths.py);
+# appended, not prepended, so ``conftest`` above stays this directory's.
+sys.path.append(os.path.join(os.path.dirname(__file__), "..", "tests"))
+from reference_paths import reference_kernels  # noqa: E402
 
 pytestmark = pytest.mark.slow
 
@@ -178,7 +185,7 @@ def _time_encoder() -> dict:
 
     timings = {}
     for label, fused in (("fused", True), ("stepwise", False)):
-        with nn.use_fused_kernels(fused):
+        with reference_kernels(not fused):
             run()  # warm up
             timings[label] = _best_of(run)
     timings["speedup"] = timings["stepwise"] / timings["fused"]
@@ -198,9 +205,8 @@ def _time_epoch() -> dict:
     rng = np.random.default_rng(4)
     run = lambda: _run_epoch(model, dataset, mask_builder, optimizer,
                              nn.clip_grad_norm, rng)
-    with nn.use_fused_kernels(True):
-        run()  # warm caches
-        timings["fused"] = _best_of(run)
+    run()  # warm caches
+    timings["fused"] = _best_of(run)
 
     # Baseline leg: the pre-PR hot path (per-step tape kernels,
     # per-point mask build, per-tensor Adam/clip loops, uncached
@@ -217,7 +223,7 @@ def _time_epoch() -> dict:
         _run_epoch(model, dataset, mask_builder, optimizer,
                    _reference_clip_grad_norm, rng)
 
-    with nn.use_fused_kernels(False):
+    with reference_kernels():
         run_baseline()
         timings["stepwise_pre_pr"] = _best_of(run_baseline)
 
@@ -302,9 +308,10 @@ def _time_decode() -> dict:
     """Packed ``DecodeSession`` vs padded full-length decode.
 
     A ragged-length recovery workload (the serving shape: requests of
-    uneven lengths batched together), decoded through the same serving
-    entry point with the packed-decode flag on and off.  Outputs are
-    bit-identical on valid steps (asserted); only wall-clock changes.
+    uneven lengths batched together), decoded through the serving entry
+    point and through the model's own padded full-length inference
+    forward.  Outputs are bit-identical on valid steps (asserted); only
+    wall-clock changes.
     """
     world, _ = _world()
     trimmed = [
@@ -326,8 +333,8 @@ def _time_decode() -> dict:
             return decode_model(model, batch, log_mask)
 
     def run_padded():
-        with nn.use_packed_decode(False), nn.no_grad():
-            return decode_model(model, batch, log_mask)
+        with nn.no_grad():
+            return model(batch, log_mask, teacher_forcing=False)
 
     packed_out = run_packed()  # warm caches both ways
     padded_out = run_padded()

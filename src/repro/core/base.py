@@ -107,9 +107,9 @@ class RecoveryModel(nn.Module):
         the padded per-step loops bit-for-bit while skipping all tape
         bookkeeping.  Returns ``None`` when gradients are being
         recorded or the model has no program — callers then take their
-        per-step reference loop.
+        per-step tape loop.
         """
-        if nn.is_grad_enabled() or not nn.packed_decode_enabled():
+        if nn.is_grad_enabled():
             return None
         program = self.decode_program(batch, log_mask)
         if program is None:

@@ -40,7 +40,7 @@ class LTEModel(RecoveryModel):
     EXTRA_INPUTS = 4
 
     #: Both fused decode paths consume CSR constraint masks natively
-    #: (the per-step reference path densifies them on entry).
+    #: (the grad-enabled autoregressive loop densifies them on entry).
     supports_sparse_mask = True
 
     def __init__(self, config: RecoveryModelConfig, rng: np.random.Generator):
@@ -90,26 +90,25 @@ class LTEModel(RecoveryModel):
             observed points clamped to their known values - they are
             inputs, not predictions).
 
-        The fused hot paths (whole-sequence decode under teacher
-        forcing; tape-free autoregressive decode under ``no_grad``) are
-        taken by default; disabling fusion falls back to the per-step
-        reference loop.
+        Teacher forcing runs the fused whole-sequence decode; inference
+        under ``no_grad`` runs the tape-free engine decode.  Only
+        autoregressive decode with gradients enabled (its feedback
+        depends on each step's argmax) steps the per-step tape loop.
         """
         self._validate_mask(log_mask, batch, self.config.num_segments)
         h = self.encode(batch)
         extras = self._step_extras(batch)
 
-        if nn.fused_kernels_enabled():
-            if teacher_forcing:
-                return self._forward_teacher_forced_fused(batch, log_mask, h,
-                                                          extras)
-            if not nn.is_grad_enabled():
-                return self._forward_inference_fused(batch, log_mask, h, extras)
+        if teacher_forcing:
+            return self._forward_teacher_forced_fused(batch, log_mask, h,
+                                                      extras)
+        if not nn.is_grad_enabled():
+            return self._forward_inference_fused(batch, log_mask, h, extras)
         if isinstance(log_mask, SparseConstraintMask):
-            # The per-step reference loop indexes the mask densely.
+            # The per-step tape loop indexes the mask densely.
             log_mask = log_mask.to_dense()
         return self._forward_stepwise(batch, log_mask, h, extras,
-                                      teacher_forcing)
+                                      teacher_forcing=False)
 
     def _forward_teacher_forced_fused(self, batch: Batch, log_mask: np.ndarray,
                                       h: Tensor, extras: np.ndarray
@@ -128,15 +127,11 @@ class LTEModel(RecoveryModel):
         )
         return ModelOutput(log_probs=log_probs, ratios=ratios, segments=segments)
 
-    def decode_program(self, batch: Batch, log_mask) -> STDecodeProgram | None:
+    def decode_program(self, batch: Batch, log_mask) -> STDecodeProgram:
         """The serving engine's adapter over the ST-operator step kernels.
 
-        Consumes dense or CSR-sparse constraint masks natively.  The
-        per-step reference path (fusion disabled) has no program — the
-        serving layer then falls back to the padded tape decode.
+        Consumes dense or CSR-sparse constraint masks natively.
         """
-        if not nn.fused_kernels_enabled():
-            return None
         self._validate_mask(log_mask, batch, self.config.num_segments)
         h = self.encode(batch)
         return STDecodeProgram(self.st_operator, h.data,
@@ -160,7 +155,11 @@ class LTEModel(RecoveryModel):
     def _forward_stepwise(self, batch: Batch, log_mask: np.ndarray, h: Tensor,
                           extras: np.ndarray, teacher_forcing: bool
                           ) -> ModelOutput:
-        """Reference per-step decode driving :meth:`LightweightSTOperator.step`."""
+        """Per-step tape decode driving :meth:`LightweightSTOperator.step`.
+
+        The grad-enabled autoregressive path; under teacher forcing it
+        is the test oracle of the fused whole-sequence decode.
+        """
         b, t = batch.tgt_segments.shape
         states = self.st_operator.initial_states(h)
         prev_segments = batch.tgt_segments[:, 0].copy()  # index 0 is observed

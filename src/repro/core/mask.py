@@ -24,11 +24,10 @@ else is derived from that pool on demand:
   pooled gather, never materialising ``(B, T, S)``;
 * :meth:`ConstraintMaskBuilder.build` densifies pool rows lazily into a
   ``(U, S)`` row matrix and gathers the dense ``(B, T, S)`` mask from
-  it (the reference representation, kept behind
-  :func:`repro.nn.use_sparse_masks`);
-* :meth:`ConstraintMaskBuilder.build_for` picks between the two based
-  on the global sparse-mask flag and the consuming model's
-  ``supports_sparse_mask``.
+  it (the representation of models without sparse-mask support, and
+  the test oracle of the sparse one);
+* :meth:`ConstraintMaskBuilder.build_for` picks between the two from
+  the consuming model's ``supports_sparse_mask``.
 
 Segments outside the search radius carry the finite ``floor`` log
 weight (:data:`_FLOOR_LOG`) in the dense representation; the sparse one
@@ -44,7 +43,6 @@ import numpy as np
 
 from ..data.dataset import Batch
 from ..nn.dtypes import get_compute_dtype
-from ..nn.fusion import sparse_masks_enabled
 from ..spatial.index import SegmentIndex
 from ..spatial.roadnet import RoadNetwork
 
@@ -477,13 +475,11 @@ class ConstraintMaskBuilder:
     def build_for(self, batch: Batch, model=None):
         """The mask representation the consuming model should receive.
 
-        Returns :meth:`build_sparse`'s CSR mask when the global
-        :func:`repro.nn.use_sparse_masks` flag is on and ``model``
-        (when given) advertises ``supports_sparse_mask``; otherwise the
+        Returns :meth:`build_sparse`'s CSR mask unless ``model`` is
+        given and does not advertise ``supports_sparse_mask``; then the
         dense :meth:`build` array.
         """
-        if sparse_masks_enabled() and (
-                model is None or getattr(model, "supports_sparse_mask", False)):
+        if model is None or getattr(model, "supports_sparse_mask", False):
             return self.build_sparse(batch)
         return self.build(batch)
 

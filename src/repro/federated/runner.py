@@ -178,9 +178,6 @@ class RoundTask:
     epochs: int
     teacher_flat: np.ndarray | None  # float64; None = no distillation
     session: ClientSessionState | None  # None = pristine session
-    fused_kernels: bool = True
-    sparse_masks: bool = True
-    packed_decode: bool = True
     exchange_dtype: str = "float64"
     compute_dtype: str = "float64"
     round_index: int = 0  # fault-plan coordinate
@@ -463,16 +460,12 @@ class TaskExecutor:
 
     def execute(self, task: RoundTask, attempt: int = 0,
                 deadline: float | None = None) -> RoundResult:
-        # Mirror the parent's process-global switches so both backends
-        # run identical kernels over the same mask representation at
-        # identical compute and wire precision.  The previous values are
-        # restored afterwards: every task re-asserts its own flags, so
-        # worker processes lose nothing, and in-process execution (tests,
-        # debugging) cannot leak a task's flags into the caller.
+        # Mirror the parent's process-global dtypes so both backends run
+        # at identical compute and wire precision.  The previous values
+        # are restored afterwards: every task re-asserts its own dtypes,
+        # so worker processes lose nothing, and in-process execution
+        # (tests, debugging) cannot leak a task's dtypes into the caller.
         previous = (
-            nn.set_fused_kernels(task.fused_kernels),
-            nn.set_sparse_masks(task.sparse_masks),
-            nn.set_packed_decode(task.packed_decode),
             nn.set_default_dtype(task.exchange_dtype),
             nn.set_compute_dtype(task.compute_dtype),
         )
@@ -509,11 +502,8 @@ class TaskExecutor:
             finally:
                 self.arena.checkin(client)
         finally:
-            nn.set_fused_kernels(previous[0])
-            nn.set_sparse_masks(previous[1])
-            nn.set_packed_decode(previous[2])
-            nn.set_default_dtype(previous[3])
-            nn.set_compute_dtype(previous[4])
+            nn.set_default_dtype(previous[0])
+            nn.set_compute_dtype(previous[1])
 
 
 class ArenaRunner(RoundRunner):
@@ -521,7 +511,7 @@ class ArenaRunner(RoundRunner):
 
     Drives one :class:`TaskExecutor` (sharing the trainer's arena), so
     tasks are executed exactly like a pool worker would — session
-    hydration, flag re-assertion, fault injection — but in-process and
+    hydration, dtype re-assertion, fault injection — but in-process and
     with at most ``arena_size`` live models.
     """
 

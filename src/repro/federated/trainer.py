@@ -653,9 +653,6 @@ class FederatedTrainer:
                 teacher_flat=None if use_setup else self._teacher_flat,
                 use_setup_teacher=use_setup,
                 session=self.shards[client_id].session,
-                fused_kernels=nn.fused_kernels_enabled(),
-                sparse_masks=nn.sparse_masks_enabled(),
-                packed_decode=nn.packed_decode_enabled(),
                 exchange_dtype=nn.get_default_dtype().name,
                 compute_dtype=nn.get_compute_dtype().name,
                 round_index=round_index,

@@ -12,11 +12,11 @@ scan forward in NumPy and register a single tape node with a
 hand-written BPTT backward (:mod:`repro.nn.recurrent`), dense layers use
 a fused ``addmm`` node, and the optimisers operate on one contiguous
 flat parameter vector (:mod:`repro.nn.flatten`) so an Adam step is a
-handful of vectorized ops rather than a per-tensor Python loop.  The
-original per-step tape path is retained behind
-:func:`~repro.nn.fusion.use_fused_kernels` purely as a reference for
-equivalence tests; both paths produce matching outputs and gradients
-(verified to atol 1e-10 and by finite differences).
+handful of vectorized ops rather than a per-tensor Python loop.  These
+are the only production paths.  The original per-step tape versions
+live on as test oracles (``tests/reference_paths.py``): the fused
+kernels match them in outputs and gradients to atol 1e-10, and the
+fused backward is also checked against finite differences.
 
 Kernel math is plain NumPy.  The multi-step hot kernels run through
 :func:`~repro.nn.kernels.call_kernel`, a named pass-through that gives
@@ -56,17 +56,6 @@ from .functional import (
     stack,
     where_mask,
 )
-from .fusion import (
-    fused_kernels_enabled,
-    packed_decode_enabled,
-    set_fused_kernels,
-    set_packed_decode,
-    set_sparse_masks,
-    sparse_masks_enabled,
-    use_fused_kernels,
-    use_packed_decode,
-    use_sparse_masks,
-)
 from .kernels import call_kernel
 from .layers import MLP, Dropout, Embedding, LayerNorm, Linear, ReLU, Sigmoid, Tanh
 from .loss import cross_entropy, distillation_loss, l1_loss, mse_loss, nll_from_log_probs
@@ -100,10 +89,6 @@ __all__ = [
     # recurrent
     "RNN", "RNNCell", "GRU", "GRUCell", "LSTM", "LSTMCell",
     "fused_rnn_scan", "fused_gru_scan", "fused_lstm_scan",
-    # fusion / sparse-mask switches
-    "fused_kernels_enabled", "set_fused_kernels", "use_fused_kernels",
-    "sparse_masks_enabled", "set_sparse_masks", "use_sparse_masks",
-    "packed_decode_enabled", "set_packed_decode", "use_packed_decode",
     # precision switches (compute + exchange)
     "get_compute_dtype", "set_compute_dtype", "use_compute_dtype",
     "get_default_dtype", "set_default_dtype", "use_default_dtype",

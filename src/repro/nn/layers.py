@@ -13,7 +13,6 @@ from . import init as initializers
 from .functional import addmm
 from .functional import dropout as dropout_fn
 from .functional import embedding_lookup
-from .fusion import fused_kernels_enabled
 from .module import Module, Parameter
 from .tensor import Tensor
 
@@ -53,13 +52,7 @@ class Linear(Module):
         self.bias = Parameter(initializers.zeros_init((out_features,))) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
-        if fused_kernels_enabled():
-            return addmm(x, self.weight, self.bias)
-        # Reference path: matmul + add as separate tape nodes.
-        out = x @ self.weight
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        return addmm(x, self.weight, self.bias)
 
 
 class Embedding(Module):

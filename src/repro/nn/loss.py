@@ -11,16 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .functional import gather_rows, log_softmax
-from .fusion import fused_kernels_enabled
 from .tensor import Tensor, as_tensor
-
-
-def _pick(log_probs: Tensor, targets: np.ndarray) -> Tensor:
-    """One log-probability per row, via the fused pick or the reference
-    fancy-index node (kept for faithful per-step-path timing)."""
-    if fused_kernels_enabled():
-        return gather_rows(log_probs, targets)
-    return log_probs[np.arange(log_probs.shape[0]), targets]
 
 __all__ = ["cross_entropy", "mse_loss", "l1_loss", "distillation_loss", "nll_from_log_probs"]
 
@@ -47,7 +38,7 @@ def cross_entropy(logits: Tensor, targets: np.ndarray,
     if targets.size and (targets.min() < 0 or targets.max() >= c):
         raise IndexError("target class index out of range")
     log_probs = log_softmax(logits, axis=-1)
-    picked = _pick(log_probs, targets)
+    picked = gather_rows(log_probs, targets)
     if weights is not None:
         weights = np.asarray(weights, dtype=np.float64)
         total = float(weights.sum())
@@ -66,7 +57,7 @@ def nll_from_log_probs(log_probs: Tensor, targets: np.ndarray,
     rather than raw logits.
     """
     targets = np.asarray(targets, dtype=np.int64)
-    picked = _pick(log_probs, targets)
+    picked = gather_rows(log_probs, targets)
     if weights is not None:
         weights = np.asarray(weights, dtype=np.float64)
         total = float(weights.sum())

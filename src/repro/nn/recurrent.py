@@ -4,15 +4,15 @@ The LightTR embedding model is a GRU over the observed trajectory
 (paper Eq. 5-6); the lightweight ST-operator uses a single RNN layer
 (paper Eq. 7).  Both are implemented here on the autograd substrate.
 
-Two execution paths exist for the sequence wrappers:
-
-* the **fused kernels** (default): the whole ``(B, T)`` scan runs
-  forward in NumPy and registers a *single* tape node whose backward is
-  a hand-written BPTT — input/weight gradients collapse into a few
-  large matmuls over the ``(B*T, ·)`` flattened sequence;
-* the **per-step path**: one cell call (and hence ~10 tape nodes) per
-  timestep.  Kept behind :func:`repro.nn.fusion.use_fused_kernels` for
-  equivalence testing.
+The sequence wrappers run **fused kernels**: the whole ``(B, T)`` scan
+runs forward in NumPy and registers a *single* tape node whose backward
+is a hand-written BPTT — input/weight gradients collapse into a few
+large matmuls over the ``(B*T, ·)`` flattened sequence.  The cells'
+tape ``forward`` (one cell call, ~10 tape nodes, per timestep) drives
+the per-step tape decoders (the ST-operator's and the baselines');
+unrolled over a sequence it is the test oracle the fused scans are
+pinned to
+(``tests/nn/test_fused_recurrent.py``).
 """
 
 from __future__ import annotations
@@ -21,8 +21,7 @@ import numpy as np
 
 from . import init as initializers
 from .kernels import call_kernel
-from .functional import concat, stack
-from .fusion import fused_kernels_enabled
+from .functional import concat
 from .module import Module, Parameter
 from .tensor import (
     Tensor,
@@ -589,29 +588,9 @@ class _SequenceRNN(Module):
         """
         if x.ndim != 3:
             raise ValueError(f"expected (B, T, D) input, got shape {x.shape}")
-        if fused_kernels_enabled():
-            batch = x.shape[0]
-            h0 = h0 if h0 is not None else self.cell.initial_state(batch)
-            outputs = self.cell.scan(x, h0, mask=mask)
-            return outputs, outputs[:, -1, :]
-        return self._forward_stepwise(x, h0, mask)
-
-    def _forward_stepwise(self, x: Tensor, h0: Tensor | None,
-                          mask: np.ndarray | None) -> tuple[Tensor, Tensor]:
-        """Reference per-step path: one tape node chain per timestep."""
-        batch, steps, _ = x.shape
-        h = h0 if h0 is not None else self.cell.initial_state(batch)
-        outputs: list[Tensor] = []
-        for t in range(steps):
-            xt = x[:, t, :]
-            h_next = self.cell(xt, h)
-            if mask is not None:
-                keep = mask[:, t : t + 1].astype(x.data.dtype)
-                h = h_next * keep + h * (1.0 - keep)
-            else:
-                h = h_next
-            outputs.append(h)
-        return stack(outputs, axis=1), h
+        h0 = h0 if h0 is not None else self.cell.initial_state(x.shape[0])
+        outputs = self.cell.scan(x, h0, mask=mask)
+        return outputs, outputs[:, -1, :]
 
 
 class RNN(_SequenceRNN):

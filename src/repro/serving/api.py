@@ -5,13 +5,13 @@ recovery: :meth:`TrajectoryRecovery.predict_batch`,
 :func:`~repro.metrics.evaluation.evaluate_model`, and the federated
 loop's accuracy gates (:func:`~repro.core.training.model_segment_accuracy`)
 all route through it instead of calling ``model(batch, log_mask,
-teacher_forcing=False)`` directly.  When packed decode is enabled
-(:func:`repro.nn.use_packed_decode`, default on) and the model builds a
-decode program, inference runs through the
+teacher_forcing=False)`` directly.  When the model builds a decode
+program, inference runs through the
 :class:`~repro.serving.engine.DecodeSession` engine with each row
-decoded only to its true length; otherwise it falls back to the model's
-own padded full-length decode, so models without a program (e.g. the
-non-autoregressive FC baseline) keep working unchanged.
+decoded only to its true length; models without a program (e.g. the
+non-autoregressive FC baseline) fall back to their own
+``forward(..., teacher_forcing=False)``.  That padded full-length
+decode is also the test oracle packed decode is pinned to.
 """
 
 from __future__ import annotations
@@ -61,8 +61,7 @@ def decode_model(model, batch, log_mask, *, decode_batch: int | None = None,
     from ..core.base import ModelOutput  # core imports serving at load time
 
     with nn.no_grad():
-        program = (model.decode_program(batch, log_mask)
-                   if nn.packed_decode_enabled() else None)
+        program = model.decode_program(batch, log_mask)
         if program is None:
             return model(batch, log_mask, teacher_forcing=False)
         session = DecodeSession(policy=policy, decode_batch=decode_batch)

@@ -16,7 +16,7 @@ Correctness contract
 --------------------
 Every admitted request decodes **bit-identically** to a solo
 :func:`~repro.serving.decode_model` call on the same request batch
-under the same flags — proven by the property suite in
+under the same dtypes — proven by the property suite in
 ``tests/serving/test_continuous_batching.py``, not asserted.  The
 engine's live set provides the kernel-level half of the contract (see
 ``repro/serving/engine.py``); the scheduler contributes the policy
@@ -25,23 +25,21 @@ half:
 * **FIFO, head-of-line blocking admission.**  Requests are admitted in
   submission order, and a head request that does not currently fit —
   not enough free rows, a mux-incompatible program (e.g. a different
-  attention encoder width), or different serving flags — *blocks* the
+  attention encoder width), or different serving dtypes — *blocks* the
   queue rather than being overtaken.  Nothing can starve: the live set
   drains monotonically, an empty set accepts any program, and an empty
   queue-head admission unblocks everything behind it.
-* **Per-request flag capture.**  Each request snapshots the process
-  flags (:class:`ServingFlags`: compute/exchange dtype,
-  fused kernels, sparse masks, packed decode) at ``submit`` time, the
-  request's program is built under those flags, and every step of a
-  working set runs under the flags its residents were admitted with —
-  the :class:`~repro.federated.runner.RoundTask` re-assertion idiom
-  applied to serving.  Requests with different flags never share a
-  working set.
-* **Solo fallback.**  A model/flag combination with no decode program
-  (e.g. LTE with fused kernels disabled, or the non-autoregressive FC
-  baseline) cannot be muxed; such requests run as one-off solo
-  :func:`~repro.serving.decode_model` calls at their admission turn,
-  preserving FIFO order.
+* **Per-request dtype capture.**  Each request snapshots the process
+  dtypes (:class:`ServingFlags`: compute and exchange dtype) at
+  ``submit`` time, the request's program is built and admitted under
+  them, and every step of a working set runs under the dtypes its residents were
+  admitted with — the :class:`~repro.federated.runner.RoundTask`
+  re-assertion idiom applied to serving.  Requests with different
+  dtypes never share a working set.
+* **Solo fallback.**  A model with no decode program (the
+  non-autoregressive FC baseline) cannot be muxed; its requests run as
+  one-off solo :func:`~repro.serving.decode_model` calls at their
+  admission turn, preserving FIFO order.
 
 Deadlines are admission deadlines: a request whose deadline passes
 while it is still queued is rejected with
@@ -71,50 +69,38 @@ __all__ = ["ServingFlags", "ServedResult", "RequestError",
 
 @dataclass(frozen=True)
 class ServingFlags:
-    """One request's snapshot of the process-global execution flags.
+    """One request's snapshot of the process-global dtypes.
 
     The serving twin of the :class:`~repro.federated.runner.RoundTask`
-    flag fields: captured where the request originates, re-asserted
+    dtype fields: captured where the request originates, re-asserted
     around every kernel call made on its behalf, and restored after —
-    so a long-lived service honours each caller's dtype/fusion
-    configuration even when callers differ.
+    so a long-lived service honours each caller's precision even when
+    callers differ.
     """
 
-    fused_kernels: bool = True
-    sparse_masks: bool = True
-    packed_decode: bool = True
     exchange_dtype: str = "float64"
     compute_dtype: str = "float64"
 
     @classmethod
     def capture(cls) -> "ServingFlags":
-        """Snapshot the caller's ambient flags."""
+        """Snapshot the caller's ambient dtypes."""
         return cls(
-            fused_kernels=nn.fused_kernels_enabled(),
-            sparse_masks=nn.sparse_masks_enabled(),
-            packed_decode=nn.packed_decode_enabled(),
             exchange_dtype=np.dtype(nn.get_default_dtype()).name,
             compute_dtype=np.dtype(nn.get_compute_dtype()).name,
         )
 
     @contextmanager
     def applied(self):
-        """Assert these flags for a block, restoring the previous ones."""
+        """Assert these dtypes for a block, restoring the previous ones."""
         previous = (
-            nn.set_fused_kernels(self.fused_kernels),
-            nn.set_sparse_masks(self.sparse_masks),
-            nn.set_packed_decode(self.packed_decode),
             nn.set_default_dtype(self.exchange_dtype),
             nn.set_compute_dtype(self.compute_dtype),
         )
         try:
             yield
         finally:
-            nn.set_fused_kernels(previous[0])
-            nn.set_sparse_masks(previous[1])
-            nn.set_packed_decode(previous[2])
-            nn.set_default_dtype(previous[3])
-            nn.set_compute_dtype(previous[4])
+            nn.set_default_dtype(previous[0])
+            nn.set_compute_dtype(previous[1])
 
 
 class RequestError(RuntimeError):
@@ -303,16 +289,15 @@ class ContinuousBatcher:
         while self._queue:
             head = self._queue[0]
             if self._live_flags is not None and head.flags != self._live_flags:
-                return  # wait for the set to drain, then re-key the flags
+                return  # wait for the set to drain, then re-key the dtypes
             try:
                 if not head.program_built:
                     with head.flags.applied(), nn.no_grad():
-                        head.program = (
-                            self.model.decode_program(head.batch, head.log_mask)
-                            if head.flags.packed_decode else None)
+                        head.program = self.model.decode_program(
+                            head.batch, head.log_mask)
                     head.program_built = True
-                # No decode program under these flags: serve solo at the
-                # request's admission turn, preserving FIFO order.
+                # No decode program (e.g. the FC baseline): serve solo
+                # at the request's admission turn, preserving FIFO order.
                 outcome = self._solo(head) if head.program is None else None
             except Exception as error:
                 outcome = InvalidRequestError(
@@ -322,8 +307,11 @@ class ContinuousBatcher:
                 if int(head.batch.size) > self._free_rows():
                     return  # head-of-line: wait for retirement to free rows
                 try:
-                    live_handle = self._live.admit(head.program, head.batch,
-                                                   lengths=head.lengths)
+                    # Admission sizes the request's output buffers: at
+                    # its own compute dtype, not the ambient one.
+                    with head.flags.applied():
+                        live_handle = self._live.admit(
+                            head.program, head.batch, lengths=head.lengths)
                 except MuxError:
                     return  # incompatible with residents: wait for drain
                 self._by_live_handle[live_handle] = head

@@ -76,7 +76,8 @@ class DecodeService:
         self._futures: dict[int, Future] = {}
         self._closed = False
         self._abandon = False
-        self._stats = {"submitted": 0, "completed": 0, "rejected": 0}
+        self._stats = {"submitted": 0, "completed": 0, "rejected": 0,
+                       "solo": 0}
         self._worker = threading.Thread(target=self._run,
                                         name="decode-service", daemon=True)
         self._worker.start()
@@ -157,7 +158,11 @@ class DecodeService:
 
     @property
     def stats(self) -> dict:
-        """Counters plus live queue/working-set depths."""
+        """Counters plus live queue/working-set depths.
+
+        ``solo`` counts the completed requests served outside the live
+        set, one at a time, because the model has no decode program.
+        """
         with self._cond:
             return dict(self._stats,
                         pending=len(self._futures),
@@ -193,6 +198,7 @@ class DecodeService:
                         future.set_exception(outcome)
                     else:
                         self._stats["completed"] += 1
+                        self._stats["solo"] += outcome.solo_fallback
                         future.set_result(outcome)
                 if outcomes:
                     self._cond.notify_all()

@@ -1,12 +1,24 @@
 """Shared fixtures: a tiny synthetic world reused across test modules.
 
+Test oracles
+------------
+The library runs one hot path per layer.  The paths those replaced are
+kept test-side as oracles in modules next to this conftest, importable
+from every test directory: ``reference_paths.reference_kernels()``
+patches in the per-step tape kernels (sequence loop, matmul + add
+``Linear``, fancy-index loss pick, LTE per-step forward with no decode
+program), and ``index_oracle`` holds the per-point spatial queries.
+The dense constraint mask (``ConstraintMaskBuilder.build``) and the
+padded full-length decode (a direct ``model(batch, log_mask,
+teacher_forcing=False)`` under ``no_grad``) need no patching.
+
 Compute-dtype forcing
 ---------------------
 Setting ``REPRO_COMPUTE_DTYPE=float32`` (the CI mixed-precision leg)
 runs the whole suite on the float32 compute substrate
 (:func:`repro.nn.set_compute_dtype`).  Tests that assert float64-grade
-contracts — finite-difference gradient checks, 1e-10 fused-vs-stepwise
-equivalences, cross-representation value comparisons tighter than
+contracts — finite-difference gradient checks, 1e-10 fused-vs-per-step
+oracle equivalences, cross-representation value comparisons tighter than
 float32 resolution — carry the ``float64_only`` marker and are skipped
 under forcing; everything else (shapes, argmax/bitwise same-dtype
 determinism, serial-vs-parallel identity, behavioural contracts) must

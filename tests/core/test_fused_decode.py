@@ -2,7 +2,8 @@
 
 Covers the fused teacher-forced whole-sequence decode (training hot
 path), the tape-free autoregressive decode (inference hot path), and
-the vectorized constraint-mask batch build.
+the vectorized constraint-mask batch build.  The per-step side runs
+under ``reference_paths.reference_kernels``.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import pytest
 from repro import nn
 from repro.core import ConstraintMaskBuilder
 from repro.core.lte import LTEModel
+from reference_paths import reference_kernels
 
 
 @pytest.fixture(scope="module")
@@ -39,7 +41,7 @@ def fusion_tols():
 
 
 def _teacher_forced(model, batch, log_mask, fused):
-    with nn.use_fused_kernels(fused):
+    with reference_kernels(not fused):
         model.zero_grad()
         output = model(batch, log_mask, teacher_forcing=True)
         loss, parts = model.loss(output, batch)
@@ -90,7 +92,7 @@ class TestInferenceEquivalence:
         model, batch, log_mask = setup
         results = {}
         for fused in (True, False):
-            with nn.use_fused_kernels(fused), nn.no_grad():
+            with reference_kernels(not fused), nn.no_grad():
                 output = model(batch, log_mask, teacher_forcing=False)
             results[fused] = output
         np.testing.assert_allclose(results[True].log_probs.data,

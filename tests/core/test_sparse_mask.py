@@ -1,6 +1,7 @@
 """Sparse constraint masks: CSR building, sparse-aware masked
-log-softmax equivalence (fused on/off, both exchange dtypes), edge
-densities, and the warm/pickle contract of the sparse row pool."""
+log-softmax equivalence against the dense ``build`` oracle (fused and
+reference kernels, both exchange dtypes), edge densities, and the
+warm/pickle contract of the sparse row pool."""
 
 from __future__ import annotations
 
@@ -13,6 +14,14 @@ from repro import nn
 from repro.baselines import FCRecoveryModel
 from repro.core import ConstraintMaskBuilder, LTEModel, SparseConstraintMask
 from repro.core.mask import _FLOOR_LOG
+from reference_paths import reference_kernels
+
+
+class _DenseMaskBuilder(ConstraintMaskBuilder):
+    """Hands every consumer the dense ``build`` oracle."""
+
+    def build_for(self, batch, model=None):
+        return self.build(batch)
 
 
 def _make_sparse(rows_active: list[list[tuple[int, float]]], s: int,
@@ -88,19 +97,15 @@ class TestSparseBuild:
         assert sparse.identity and sparse.nnz == 0 and sparse.density == 1.0
         np.testing.assert_array_equal(sparse.to_dense(), builder.build(batch))
 
-    def test_build_for_honours_flag_and_model(self, tiny_dataset, tiny_mask,
-                                              tiny_config, fresh_rng):
+    def test_build_for_honours_model(self, tiny_dataset, tiny_mask,
+                                     tiny_config, fresh_rng):
         batch = tiny_dataset.full_batch()
         lte = LTEModel(tiny_config, fresh_rng)
         fc = FCRecoveryModel(tiny_config, np.random.default_rng(1))
-        with nn.use_sparse_masks(True):
-            assert isinstance(tiny_mask.build_for(batch, lte),
-                              SparseConstraintMask)
-            assert isinstance(tiny_mask.build_for(batch), SparseConstraintMask)
-            # A model that never opted in keeps getting dense masks.
-            assert isinstance(tiny_mask.build_for(batch, fc), np.ndarray)
-        with nn.use_sparse_masks(False):
-            assert isinstance(tiny_mask.build_for(batch, lte), np.ndarray)
+        assert isinstance(tiny_mask.build_for(batch, lte), SparseConstraintMask)
+        assert isinstance(tiny_mask.build_for(batch), SparseConstraintMask)
+        # A model that never opted in keeps getting dense masks.
+        assert isinstance(tiny_mask.build_for(batch, fc), np.ndarray)
 
     def test_non_supporting_model_rejects_sparse(self, tiny_dataset, tiny_mask,
                                                  tiny_config):
@@ -178,7 +183,7 @@ class TestSparseSoftmaxEquivalence:
         sparse = tiny_mask.build_sparse(batch)
         dense = tiny_mask.build(batch)
         model = LTEModel(tiny_config, np.random.default_rng(5))
-        with nn.use_fused_kernels(fused), nn.use_default_dtype(exchange_dtype):
+        with reference_kernels(not fused), nn.use_default_dtype(exchange_dtype):
             out_d = model(batch, dense, teacher_forcing=True)
             out_s = model(batch, sparse, teacher_forcing=True)
             model.eval()
@@ -202,13 +207,13 @@ class TestSparseSoftmaxEquivalence:
         from repro.core import LocalTrainer, TrainingConfig
 
         losses = {}
-        for label, flag in (("dense", False), ("sparse", True)):
+        for label, builder_cls in (("dense", _DenseMaskBuilder),
+                                   ("sparse", ConstraintMaskBuilder)):
             model = LTEModel(tiny_config, np.random.default_rng(11))
-            builder = ConstraintMaskBuilder(tiny_world.network, radius=400.0)
+            builder = builder_cls(tiny_world.network, radius=400.0)
             trainer = LocalTrainer(model, builder, TrainingConfig(batch_size=8),
                                    np.random.default_rng(13))
-            with nn.use_sparse_masks(flag):
-                losses[label] = trainer.train_epoch(tiny_dataset)
+            losses[label] = trainer.train_epoch(tiny_dataset)
         np.testing.assert_allclose(losses["sparse"], losses["dense"],
                                    rtol=1e-6)
 
@@ -317,21 +322,21 @@ class TestWarmAndPickle:
                                       builder.build(batch))
 
 
-class TestRunnerShipsSparseFlag:
-    def test_round_task_carries_and_worker_asserts_flag(self, tiny_world,
-                                                        tiny_dataset,
-                                                        tiny_config,
-                                                        monkeypatch):
-        """The worker-side executor re-asserts the task's sparse-mask
-        flag (exercised in-process via the pool initializer hooks)."""
+class TestRunnerShipsDtypes:
+    def test_round_task_carries_and_worker_asserts_dtype(self, tiny_world,
+                                                         tiny_dataset,
+                                                         tiny_config,
+                                                         monkeypatch):
+        """The worker-side executor re-asserts the task's exchange dtype
+        (exercised in-process via the pool initializer hooks), and a
+        worker's training masks are the sparse ones the parent uses."""
         from repro.core import TrainingConfig
         from repro.federated import runner as runner_mod
         from repro.federated.client import ClientData
         from repro.federated.runner import RoundTask, WorkerSetup, _init_worker
 
         task_fields = RoundTask.__dataclass_fields__
-        assert "sparse_masks" in task_fields
-        assert task_fields["sparse_masks"].default is True
+        assert task_fields["exchange_dtype"].default == "float64"
 
         builder = ConstraintMaskBuilder(tiny_world.network, radius=400.0)
         data = ClientData(train=tiny_dataset, valid=tiny_dataset,
@@ -347,26 +352,37 @@ class TestRunnerShipsSparseFlag:
         flat = np.concatenate([p.data.reshape(-1) for p in model.parameters()])
         saved_worker = runner_mod._WORKER
 
-        # Probe the flag while the task runs: _ensure_model_dtype is the
-        # first call the executor makes after asserting the task flags.
+        # Probe the dtype while the task runs: _ensure_model_dtype is the
+        # first call the executor makes after asserting the task dtypes.
         observed = []
         original_ensure = runner_mod.TaskExecutor._ensure_model_dtype
         monkeypatch.setattr(
             runner_mod.TaskExecutor, "_ensure_model_dtype",
-            lambda self: (observed.append(nn.sparse_masks_enabled()),
+            lambda self: (observed.append(nn.get_default_dtype().name),
                           original_ensure(self))[1])
+        masks = []
+        build_for = builder.build_for
+
+        def recording_build_for(batch, model=None):
+            masks.append(build_for(batch, model))
+            return masks[-1]
+
+        monkeypatch.setattr(builder, "build_for", recording_build_for)
         try:
             _init_worker(setup)
-            for flag in (False, True):
-                with nn.use_sparse_masks(not flag):
+            for task_dtype, caller_dtype in (("float32", "float64"),
+                                             ("float64", "float32")):
+                with nn.use_default_dtype(caller_dtype):
                     runner_mod._execute_task(RoundTask(
                         client_id=0, global_flat=flat, epochs=1,
-                        teacher_flat=None, session=None, sparse_masks=flag,
+                        teacher_flat=None, session=None,
+                        exchange_dtype=task_dtype,
                     ))
-                    assert observed[-1] is flag
-                    # In-process execution restores the caller's flags
-                    # (a task must not leak its precision/kernel state).
-                    assert nn.sparse_masks_enabled() is (not flag)
+                    assert observed[-1] == task_dtype
+                    # In-process execution restores the caller's dtype
+                    # (a task must not leak its precision state).
+                    assert nn.get_default_dtype().name == caller_dtype
         finally:
             runner_mod._WORKER = saved_worker
-            nn.set_sparse_masks(True)
+        assert masks and all(isinstance(m, SparseConstraintMask)
+                             for m in masks)

@@ -263,8 +263,7 @@ class TestServingAtFloat32:
             log_mask = builder.build_for(batch, model)
             with nn.no_grad():
                 packed = decode_model(model, batch, log_mask)
-                with nn.use_packed_decode(False):
-                    padded = decode_model(model, batch, log_mask)
+                padded = model(batch, log_mask, teacher_forcing=False)
             assert packed.log_probs.data.dtype == F32
             assert packed.ratios.data.dtype == F32
             valid = batch.tgt_mask

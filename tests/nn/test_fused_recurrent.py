@@ -2,9 +2,9 @@
 
 The fused RNN/GRU/LSTM scans register one tape node with a hand-written
 BPTT backward; these tests pin them to the per-step reference
-implementation (outputs, input/initial-state gradients, and every
-parameter gradient to atol 1e-10) and check the fused backward against
-central finite differences directly.
+implementation of ``reference_paths`` (outputs, input/initial-state
+gradients, and every parameter gradient to atol 1e-10) and check the
+fused backward against central finite differences directly.
 """
 
 from __future__ import annotations
@@ -13,14 +13,17 @@ import numpy as np
 import pytest
 
 from repro import nn
+from repro.nn.layers import Linear
+from repro.nn.recurrent import _SequenceRNN
 from repro.nn.tensor import Tensor
+from reference_paths import reference_kernels
 
 LAYERS = [("rnn", nn.RNN), ("gru", nn.GRU), ("lstm", nn.LSTM)]
 
 
 def _run_layer(layer, x_data, mask, h0_data, fused):
     """One forward + seeded backward; returns outputs and all grads."""
-    with nn.use_fused_kernels(fused):
+    with reference_kernels(not fused):
         x = Tensor(x_data, requires_grad=True)
         h0 = Tensor(h0_data, requires_grad=True) if h0_data is not None else None
         layer.zero_grad()
@@ -83,15 +86,14 @@ def test_fused_backward_matches_finite_differences(name, cls, fresh_rng):
         2, 4, layer.hidden_size)
 
     def loss_value():
-        with nn.no_grad(), nn.use_fused_kernels(True):
+        with nn.no_grad():
             outputs, _ = layer(Tensor(x_data))
         return float((outputs.data * seed).sum())
 
-    with nn.use_fused_kernels(True):
-        x = Tensor(x_data, requires_grad=True)
-        layer.zero_grad()
-        outputs, _ = layer(x)
-        (outputs * Tensor(seed)).sum().backward()
+    x = Tensor(x_data, requires_grad=True)
+    layer.zero_grad()
+    outputs, _ = layer(x)
+    (outputs * Tensor(seed)).sum().backward()
 
     eps = 1e-6
     for pname, param in layer.named_parameters():
@@ -110,14 +112,13 @@ def test_fused_backward_matches_finite_differences(name, cls, fresh_rng):
             )
 
 
-def test_fused_is_default_and_flag_scopes():
-    assert nn.fused_kernels_enabled()
-    with nn.use_fused_kernels(False):
-        assert not nn.fused_kernels_enabled()
-        with nn.use_fused_kernels(True):
-            assert nn.fused_kernels_enabled()
-        assert not nn.fused_kernels_enabled()
-    assert nn.fused_kernels_enabled()
+def test_reference_kernels_scope_restores_fused_paths():
+    fused = (_SequenceRNN.forward, Linear.forward)
+    with pytest.raises(RuntimeError):
+        with reference_kernels():
+            assert (_SequenceRNN.forward, Linear.forward) != fused
+            raise RuntimeError("leave the block early")
+    assert (_SequenceRNN.forward, Linear.forward) == fused
 
 
 def test_fused_scan_without_grad_records_no_tape(fresh_rng):

@@ -50,14 +50,16 @@ def served_lte(tiny_config, serving_dataset, tiny_mask):
 @pytest.fixture(scope="package")
 def make_request(serving_dataset, tiny_mask):
     """Build one request: ``(batch, log_mask)`` for a subset of the
-    dataset's trajectories, with the mask in the ambient representation
-    (call under ``nn.use_sparse_masks`` to pick)."""
+    dataset's trajectories.  The mask is the one ``build_for`` gives the
+    model, or with ``sparse=False`` the dense ``build`` oracle."""
 
-    def build(indices, model):
+    def build(indices, model, *, sparse=True):
         examples = [serving_dataset.examples[i] for i in indices]
         batch = TrajectoryDataset(examples, serving_dataset.grid,
                                   serving_dataset.network,
                                   serving_dataset.keep_ratio).full_batch()
+        if not sparse:
+            return batch, tiny_mask.build(batch)
         return batch, tiny_mask.build_for(batch, model)
 
     return build
@@ -65,25 +67,28 @@ def make_request(serving_dataset, tiny_mask):
 
 @pytest.fixture(scope="package")
 def solo_reference(make_request):
-    """Memoised solo :func:`decode_model` references.
+    """Memoised solo references.
 
-    ``get(model, indices, sparse=..., fused=...)`` returns
-    ``(batch, log_mask, output)`` decoded under exactly those flags —
-    the ground truth every continuous-batching result must match
-    bit-for-bit.
+    ``get(model, indices, sparse=..., padded=...)`` returns
+    ``(batch, log_mask, output)``: the request built by
+    ``make_request(..., sparse=sparse)`` and decoded alone — through
+    :func:`decode_model`, or with ``padded=True`` through the model's
+    own padded full-length ``forward(teacher_forcing=False)``.  The
+    ground truth every continuous-batching result must match
+    bit-for-bit on its valid steps.
     """
     cache: dict = {}
 
-    def get(model, indices, *, sparse=True, fused=True):
+    def get(model, indices, *, sparse=True, padded=False):
         # Keyed on the model object itself (not id()): the reference
         # pins the model, so a recycled id can never alias the cache.
-        key = (model, tuple(indices), sparse, fused)
+        key = (model, tuple(indices), sparse, padded)
         if key not in cache:
-            with nn.use_sparse_masks(sparse), nn.use_fused_kernels(fused):
-                batch, log_mask = build_args = make_request(indices, model)
-                with nn.no_grad():
-                    output = decode_model(model, batch, log_mask)
-            cache[key] = (build_args[0], build_args[1], output)
+            batch, log_mask = make_request(indices, model, sparse=sparse)
+            with nn.no_grad():
+                output = (model(batch, log_mask, teacher_forcing=False)
+                          if padded else decode_model(model, batch, log_mask))
+            cache[key] = (batch, log_mask, output)
         return cache[key]
 
     return get

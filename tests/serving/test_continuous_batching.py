@@ -5,11 +5,14 @@ request admitted into the live working set — whenever it arrives,
 whatever else is co-resident, however the set compacts around it —
 produces outputs **bit-identical** to a solo
 :func:`~repro.serving.decode_model` call on the same request batch
-under the same flags.  This suite proves it property-style: 100
-randomized seeded scenarios (25 seeds x the sparse/fused flag grid)
-with random request sets, arrival times, and working-set budgets,
-plus directed tests for the scheduler invariants (capacity, FIFO,
-drain, deadlines) and the single-row-ballast/admission seam.
+under the same dtypes — and on valid steps to the padded full-length
+decode oracle (the model's own ``forward(teacher_forcing=False)``).
+This suite proves it property-style: 100 randomized seeded scenarios
+(25 seeds x sparse/dense masks x the solo/padded oracle) with random
+request sets, arrival times, and working-set budgets, plus directed
+tests for the scheduler invariants (capacity, FIFO, drain, deadlines),
+the single-row-ballast/admission seam, and the solo fallback of a
+model without a decode program (the FC baseline).
 
 Compute-dtype coverage comes from the environment forcing in the root
 conftest: CI's ``tier1 (py3.12, float32)`` matrix leg re-runs this
@@ -24,11 +27,13 @@ import numpy as np
 import pytest
 
 from repro import nn
+from repro.baselines.fc import FCRecoveryModel
 from repro.baselines.mtrajrec import MTrajRecModel
 from repro.nn.flops import estimate_decode_flops
 from repro.serving import (
     ContinuousBatcher,
     DeadlineExceededError,
+    DecodeService,
     DecodeSession,
     GreedyEmission,
     InvalidRequestError,
@@ -37,10 +42,12 @@ from repro.serving import (
 )
 from repro.serving import scheduler as scheduler_module
 
-#: The flag grid each seed runs under.  fused=False exercises the
-#: solo-fallback path (LTE builds no decode program without fused
-#: kernels), sparse toggles the constraint-mask representation.
-FLAG_GRID = [(True, True), (True, False), (False, True), (False, False)]
+#: The grid each seed runs under: sparse toggles the constraint-mask
+#: representation (CSR from ``build_for`` vs the dense ``build``
+#: oracle), oracle picks the solo reference every result must match —
+#: a solo ``decode_model`` call or the padded full-length decode.
+ORACLE_GRID = [(True, "solo"), (True, "padded"), (False, "solo"),
+               (False, "padded")]
 
 
 def _assert_request_bitwise(result, batch, output, label=""):
@@ -51,6 +58,12 @@ def _assert_request_bitwise(result, batch, output, label=""):
                                   output.ratios.data[valid], err_msg=label)
     np.testing.assert_array_equal(result.log_probs[valid],
                                   output.log_probs.data[valid], err_msg=label)
+
+
+def _other_compute_dtype() -> str:
+    """The compute dtype that is not the ambient one."""
+    ambient = nn.get_compute_dtype()
+    return "float32" if ambient == np.dtype(np.float64) else "float64"
 
 
 def _drive(batcher, schedule, data):
@@ -79,12 +92,12 @@ def _drive(batcher, schedule, data):
 
 
 class TestSoloEquivalenceProperty:
-    """100 randomized scenarios: arrivals, lengths, budgets, flags."""
+    """100 randomized scenarios: arrivals, lengths, budgets, masks."""
 
-    @pytest.mark.parametrize("sparse,fused", FLAG_GRID)
+    @pytest.mark.parametrize("sparse,oracle", ORACLE_GRID)
     @pytest.mark.parametrize("seed", range(25))
     def test_random_arrivals_are_bitwise(self, served_lte, serving_dataset,
-                                         solo_reference, seed, sparse, fused):
+                                         solo_reference, seed, sparse, oracle):
         rng = np.random.default_rng(10_000 + seed)
         n_requests = int(rng.integers(2, 7))
         picks = rng.integers(0, len(serving_dataset.examples),
@@ -96,15 +109,15 @@ class TestSoloEquivalenceProperty:
         refs = {}
         for j, idx in enumerate(picks):
             batch, log_mask, output = solo_reference(
-                served_lte, [int(idx)], sparse=sparse, fused=fused)
+                served_lte, [int(idx)], sparse=sparse,
+                padded=oracle == "padded")
             data[j] = (batch, log_mask)
             refs[j] = (batch, output)
 
-        with nn.use_sparse_masks(sparse), nn.use_fused_kernels(fused):
-            batcher = ContinuousBatcher(served_lte, max_batch=max_batch)
-            outcomes = _drive(batcher,
-                              list(zip(arrivals.tolist(), range(n_requests))),
-                              data)
+        batcher = ContinuousBatcher(served_lte, max_batch=max_batch)
+        outcomes = _drive(batcher,
+                          list(zip(arrivals.tolist(), range(n_requests))),
+                          data)
 
         assert sorted(outcomes) == list(range(n_requests))
         for j, outcome in outcomes.items():
@@ -112,9 +125,8 @@ class TestSoloEquivalenceProperty:
             _assert_request_bitwise(
                 outcome, batch, output,
                 label=f"seed={seed} request={j} traj={picks[j]} "
-                      f"sparse={sparse} fused={fused}")
-            if not fused:  # no decode program: served by the solo fallback
-                assert outcome.solo_fallback
+                      f"sparse={sparse} oracle={oracle}")
+            assert not outcome.solo_fallback  # LTE always has a program
 
     def test_multi_row_requests_are_bitwise(self, served_lte, solo_reference):
         """Requests are whole batches, not single rows: multi-trajectory
@@ -215,19 +227,25 @@ class TestSchedulerInvariants:
 
     def test_mixed_flag_requests_never_share_a_set(self, served_lte,
                                                    solo_reference):
-        """Requests captured under different flags are admitted into
+        """Requests captured under different dtypes are admitted into
         different working-set generations, each served under its own
-        flags bit-identically."""
-        ref_sparse = solo_reference(served_lte, [0], sparse=True)
-        ref_dense = solo_reference(served_lte, [1], sparse=False)
+        dtypes bit-identically."""
+        other = _other_compute_dtype()
+        ref_a = solo_reference(served_lte, [0])
+        batch_b, mask_b, _ = solo_reference(served_lte, [1])
+        with nn.use_compute_dtype(other), nn.no_grad():
+            ref_b = decode_model(served_lte, batch_b, mask_b)
         batcher = ContinuousBatcher(served_lte, max_batch=4)
-        with nn.use_sparse_masks(True):
-            a = batcher.submit(ref_sparse[0], ref_sparse[1])
-        with nn.use_sparse_masks(False):
-            b = batcher.submit(ref_dense[0], ref_dense[1])
+        a = batcher.submit(ref_a[0], ref_a[1])
+        with nn.use_compute_dtype(other):
+            b = batcher.submit(batch_b, mask_b)
+        batcher.step()
+        # b fits the row budget but waits for a's generation to drain.
+        assert batcher.live_rows == 1 and batcher.queue_depth == 1
         outcomes = dict(batcher.drain())
-        _assert_request_bitwise(outcomes[a], ref_sparse[0], ref_sparse[2])
-        _assert_request_bitwise(outcomes[b], ref_dense[0], ref_dense[2])
+        assert batcher.admission_log == [a, b]
+        _assert_request_bitwise(outcomes[a], ref_a[0], ref_a[2])
+        _assert_request_bitwise(outcomes[b], batch_b, ref_b)
 
     def test_per_request_decode_flops(self, served_lte, make_request):
         """Cost accounting prices true decode lengths, not padding."""
@@ -292,6 +310,53 @@ class TestRequestIsolation:
         outcomes = dict(batcher.drain())
         assert len(walks) == 1
         assert len({o.decode_flops for o in outcomes.values()}) == 1
+
+
+class TestSoloFallback:
+    """A model without a decode program (the non-autoregressive FC
+    baseline) cannot join the live set: each request is served alone
+    at its admission turn, in FIFO order, through its padded forward."""
+
+    @pytest.fixture(scope="class")
+    def fc_model(self, tiny_config):
+        model = FCRecoveryModel(tiny_config, np.random.default_rng(5))
+        model.eval()
+        return model
+
+    def test_requests_are_served_solo_in_fifo_order(self, fc_model,
+                                                    solo_reference):
+        groups = [[2], [0, 1], [5], [3, 4, 6], [7]]
+        refs = [solo_reference(fc_model, group, padded=True)
+                for group in groups]
+        assert fc_model.decode_program(refs[0][0], refs[0][1]) is None
+        batcher = ContinuousBatcher(fc_model, max_batch=3)
+        handles = [batcher.submit(batch, log_mask)
+                   for batch, log_mask, _ in refs]
+        outcomes = dict(batcher.drain())
+        assert batcher.admission_log == handles
+        for handle, (batch, _, output) in zip(handles, refs):
+            assert outcomes[handle].solo_fallback
+            _assert_request_bitwise(outcomes[handle], batch, output)
+
+    def test_service_counts_solo_decodes(self, fc_model, served_lte,
+                                         solo_reference):
+        refs = [solo_reference(fc_model, [i], padded=True) for i in range(4)]
+        with DecodeService(fc_model, max_batch=2) as service:
+            handles = [service.submit(batch, log_mask)
+                       for batch, log_mask, _ in refs]
+            for handle, (batch, _, output) in zip(handles, refs):
+                result = service.result(handle, timeout=30)
+                assert result.solo_fallback
+                _assert_request_bitwise(result, batch, output)
+            assert service.drain(timeout=10)
+            stats = service.stats
+        assert stats["completed"] == stats["solo"] == 4
+        # A model with a decode program never takes the solo path.
+        batch, log_mask, _ = solo_reference(served_lte, [0])
+        with DecodeService(served_lte, max_batch=2) as service:
+            assert not service.result(service.submit(batch, log_mask),
+                                      timeout=30).solo_fallback
+            assert service.stats["solo"] == 0
 
 
 class TestBallastAdmissionSeam:
@@ -371,8 +436,7 @@ class TestLiveDecodeSetEngine:
         other = MTrajRecModel(tiny_config, np.random.default_rng(3))
         other.eval()
         batch_a, mask_a = make_request([0], served_lte)
-        with nn.use_sparse_masks(False):
-            batch_b, mask_b = make_request([0], other)
+        batch_b, mask_b = make_request([0], other)
         live = DecodeSession().open()
         live.admit(self._program(served_lte, batch_a, mask_a), batch_a)
         with pytest.raises(MuxError, match="mux-compatible"):

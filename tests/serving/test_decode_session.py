@@ -5,10 +5,13 @@ is bit-identical to the padded full-length decode on every valid
 timestep under *any* packing — including single-row working sets,
 which since the self-ballast upgrade run the same GEMM kernels as
 packed ones (the older 1e-10/argmax assertions below remain as the
-weaker historical contract; equality satisfies them).  Covered matrix:
-uneven lengths, empty-radius fallback mask rows, sparse/dense masks,
-fused kernels on/off, float32 exchange mode, all autoregressive
-models, and the decode_batch chunking knob.
+weaker historical contract; equality satisfies them).  The padded
+oracle is the model's own ``forward(teacher_forcing=False)`` under
+``no_grad``.  Covered matrix: uneven lengths, empty-radius fallback
+mask rows, sparse/dense masks, the per-step reference kernels
+(``reference_paths``), the baselines' grad-enabled tape loops, float32
+exchange mode, all autoregressive models, and the decode_batch
+chunking knob.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from repro.core import ConstraintMaskBuilder, LTEModel
 from repro.data import TrajectoryDataset
 from repro.data.trajectory import MatchedTrajectory
 from repro.serving import DecodeSession, GreedyEmission, decode_model
+from reference_paths import reference_kernels
 
 #: Uneven trajectory lengths, with a strictly longest one so the packed
 #: working set eventually compacts all the way down to a single row
@@ -57,7 +61,11 @@ def lte(tiny_config, ragged_dataset, tiny_mask):
 
 
 def _decode(model, batch, log_mask, *, packed, decode_batch=None):
-    with nn.use_packed_decode(packed), nn.no_grad():
+    """The packed serving decode, or with ``packed=False`` the padded
+    full-length oracle (the model's own inference forward)."""
+    with nn.no_grad():
+        if not packed:
+            return model(batch, log_mask, teacher_forcing=False)
         return decode_model(model, batch, log_mask, decode_batch=decode_batch)
 
 
@@ -76,8 +84,8 @@ class TestPackedVsPadded:
     def test_lte_bitwise_on_valid_steps(self, lte, ragged_dataset, tiny_mask,
                                         sparse):
         batch = ragged_dataset.full_batch()
-        with nn.use_sparse_masks(sparse):
-            log_mask = tiny_mask.build_for(batch, lte)
+        log_mask = (tiny_mask.build_for(batch, lte) if sparse
+                    else tiny_mask.build(batch))
         packed = _decode(lte, batch, log_mask, packed=True)
         padded = _decode(lte, batch, log_mask, packed=False)
         _assert_valid_steps_bitwise(packed, padded, batch)
@@ -135,7 +143,9 @@ class TestPackedVsPadded:
         batch = ragged_dataset.full_batch()
         log_mask = tiny_mask.build(batch)
         packed = _decode(model, batch, log_mask, packed=True)
-        tape = _decode(model, batch, log_mask, packed=False)  # tape loop
+        # Gradients on: the per-step tape loop, not the engine.
+        tape = model(batch, log_mask, teacher_forcing=False)
+        assert tape.log_probs.requires_grad
         valid = batch.tgt_mask
         np.testing.assert_array_equal(packed.segments[valid],
                                       tape.segments[valid])
@@ -182,14 +192,14 @@ class TestPackedVsPadded:
 
     def test_fused_off_falls_back_to_reference(self, lte, ragged_dataset,
                                                tiny_mask, float_tol):
-        """Without fused kernels there is no LTE decode program; the
-        serving layer must fall back to the per-step tape decode and
-        still agree with the packed path at the fusion tolerance."""
+        """Under the per-step reference kernels there is no LTE decode
+        program; the serving layer must fall back to the per-step tape
+        decode and still agree with the packed path at the fusion
+        tolerance."""
         batch = ragged_dataset.full_batch()
-        with nn.use_sparse_masks(False):
-            log_mask = tiny_mask.build_for(batch, lte)
+        log_mask = tiny_mask.build(batch)
         packed = _decode(lte, batch, log_mask, packed=True)
-        with nn.use_fused_kernels(False):
+        with reference_kernels():
             assert lte.decode_program(batch, log_mask) is None
             reference = _decode(lte, batch, log_mask, packed=True)
         valid = batch.tgt_mask

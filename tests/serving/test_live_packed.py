@@ -53,11 +53,11 @@ def families(served_lte, tiny_config):
 def _requests(make_request, model, sparse, rng, count):
     """``count`` random requests: ``(program, batch, lengths, rows)``."""
     out = []
-    with nn.use_sparse_masks(sparse), nn.no_grad():
+    with nn.no_grad():
         for _ in range(count):
             size = int(rng.integers(1, 4))
             picks = rng.choice(8, size=size, replace=False).tolist()
-            batch, log_mask = make_request(picks, model)
+            batch, log_mask = make_request(picks, model, sparse=sparse)
             lengths = batch.tgt_mask.sum(axis=1).astype(np.int64)
             draw = rng.random()
             if draw < 0.15:
@@ -72,13 +72,13 @@ def _requests(make_request, model, sparse, rng, count):
     return out
 
 
-def _run(live_set, requests, arrivals, sparse):
+def _run(live_set, requests, arrivals):
     """Drive one set through a schedule; head-of-line admission."""
     results = {}
     pending = deque(zip(arrivals, range(len(requests))))
     handles = {}
     step = 0
-    with nn.use_sparse_masks(sparse), nn.no_grad():
+    with nn.no_grad():
         while pending or not live_set.empty:
             while pending and pending[0][0] <= step:
                 program, batch, lengths, rows = requests[pending[0][1]]
@@ -109,9 +109,9 @@ def test_packed_set_matches_oracle(families, make_request, family, seed):
     max_batch = int(rng.integers(3, 7))
     packed_policy, oracle_policy = Recording(), Recording()
     packed = _run(DecodeSession(policy=packed_policy).open(max_batch),
-                  requests, arrivals, sparse)
+                  requests, arrivals)
     oracle = _run(OracleLiveSet(oracle_policy, max_batch),
-                  requests, arrivals, sparse)
+                  requests, arrivals)
     assert sorted(packed) == sorted(oracle) == list(range(len(requests)))
     for key, want in oracle.items():
         got = packed[key]
@@ -133,8 +133,8 @@ def test_falling_to_one_row_keeps_ballast(served_lte, make_request):
             batch, log_mask = make_request([index], served_lte)
             requests.append((served_lte.decode_program(batch, log_mask),
                              batch, batch.tgt_mask.sum(axis=1), None))
-    packed = _run(DecodeSession().open(2), requests, [0, 0], True)
-    oracle = _run(OracleLiveSet(GreedyEmission(), 2), requests, [0, 0], True)
+    packed = _run(DecodeSession().open(2), requests, [0, 0])
+    oracle = _run(OracleLiveSet(GreedyEmission(), 2), requests, [0, 0])
     for key in (0, 1):
         np.testing.assert_array_equal(packed[key].log_probs,
                                       oracle[key].log_probs)
@@ -153,7 +153,7 @@ def test_one_mask_gather_per_step(served_lte, make_request, monkeypatch):
 
     monkeypatch.setattr(programs_module, "call_kernel", counting)
     live = DecodeSession().open()
-    with nn.use_sparse_masks(True), nn.no_grad():
+    with nn.no_grad():
         for index in range(6):
             batch, log_mask = make_request([index], served_lte)
             live.admit(served_lte.decode_program(batch, log_mask), batch,
@@ -173,7 +173,7 @@ def test_tables_stay_bounded_by_live_rows(served_lte, make_request):
     twice the rows of the admissions still decoding."""
     rng = np.random.default_rng(5)
     live = DecodeSession().open(max_batch=4)
-    with nn.use_sparse_masks(True), nn.no_grad():
+    with nn.no_grad():
         programs = []
         for index in range(8):
             batch, log_mask = make_request([index], served_lte)

@@ -1,7 +1,7 @@
 """DecodeService: the async front-end over the continuous batcher.
 
 Covers the future-based submit/result API (results bitwise-equal to
-solo decodes), per-caller flag capture, queue-depth backpressure,
+solo decodes), per-caller dtype capture, queue-depth backpressure,
 admission deadlines, graceful drain/shutdown, and the FastAPI import
 gate — the suite runs hermetically with FastAPI absent (an optional
 dependency, never a test dependency) and smoke-tests
@@ -23,6 +23,7 @@ from repro.serving import (
     QueueFullError,
     ServiceClosedError,
     create_app,
+    decode_model,
     fastapi_available,
 )
 
@@ -61,21 +62,25 @@ class TestSubmitResult:
         assert stats["submitted"] == 6
         assert stats["completed"] == 6
         assert stats["rejected"] == 0
+        assert stats["solo"] == 0
 
     def test_flags_captured_per_caller(self, served_lte, solo_reference):
-        """Two callers with different ambient flags each get results
+        """Two callers with different ambient dtypes each get results
         under their own configuration, from the same service."""
-        ref_sparse = solo_reference(served_lte, [0], sparse=True)
-        ref_dense = solo_reference(served_lte, [1], sparse=False)
+        other = ("float32" if nn.get_compute_dtype() == np.dtype(np.float64)
+                 else "float64")
+        ref_a = solo_reference(served_lte, [0])
+        batch_b, mask_b, _ = solo_reference(served_lte, [1], sparse=False)
+        with nn.use_compute_dtype(other), nn.no_grad():
+            out_b = decode_model(served_lte, batch_b, mask_b)
         with DecodeService(served_lte, max_batch=4) as service:
-            with nn.use_sparse_masks(True):
-                a = service.submit(ref_sparse[0], ref_sparse[1])
-            with nn.use_sparse_masks(False):
-                b = service.submit(ref_dense[0], ref_dense[1])
+            a = service.submit(ref_a[0], ref_a[1])
+            with nn.use_compute_dtype(other):
+                b = service.submit(batch_b, mask_b)
             _assert_request_bitwise(service.result(a, timeout=30),
-                                    ref_sparse[0], ref_sparse[2])
+                                    ref_a[0], ref_a[2])
             _assert_request_bitwise(service.result(b, timeout=30),
-                                    ref_dense[0], ref_dense[2])
+                                    batch_b, out_b)
 
     def test_unknown_handle(self, served_lte):
         with DecodeService(served_lte) as service:

@@ -3,7 +3,9 @@
 The packed decode engine must be invisible to downstream consumers:
 identical recoveries and metric rows whether packed or padded, chunked
 or not — and models without a decode program (FC) keep working through
-the fallback path.
+the fallback path.  The padded side patches each call site's
+``decode_model`` with the padded full-length oracle (the model's own
+inference forward).
 """
 
 from __future__ import annotations
@@ -14,11 +16,20 @@ import pytest
 from repro import nn
 from repro.baselines.fc import FCRecoveryModel
 from repro.core import LTEModel, TrajectoryRecovery
+from repro.core import recovery as recovery_module
+from repro.core import training as training_module
 from repro.core.training import model_segment_accuracy
 from repro.data import TrajectoryDataset
 from repro.data.trajectory import MatchedTrajectory
 from repro.metrics import evaluate_model
+from repro.metrics import evaluation as evaluation_module
 from repro.serving import decode_model
+
+
+def _padded_decode(model, batch, log_mask, **_):
+    """The padded full-length oracle, in ``decode_model``'s signature."""
+    with nn.no_grad():
+        return model(batch, log_mask, teacher_forcing=False)
 
 
 @pytest.fixture(scope="module")
@@ -48,11 +59,12 @@ def recovery(tiny_config, tiny_mask, ragged_dataset):
 
 
 class TestRecoverySite:
-    def test_predict_batch_packed_equals_padded(self, recovery, ragged_dataset):
+    def test_predict_batch_packed_equals_padded(self, recovery, ragged_dataset,
+                                                monkeypatch):
         batch = ragged_dataset.full_batch()
         packed = recovery.predict_batch(batch)
-        with nn.use_packed_decode(False):
-            padded = recovery.predict_batch(batch)
+        monkeypatch.setattr(recovery_module, "decode_model", _padded_decode)
+        padded = recovery.predict_batch(batch)
         valid = batch.tgt_mask
         np.testing.assert_array_equal(packed[0][valid], padded[0][valid])
         np.testing.assert_array_equal(packed[1][valid], padded[1][valid])
@@ -94,11 +106,11 @@ class TestRecoverySite:
 
 class TestEvaluationSite:
     def test_evaluate_model_packed_equals_padded(self, tiny_config, tiny_mask,
-                                                 ragged_dataset):
+                                                 ragged_dataset, monkeypatch):
         model = LTEModel(tiny_config, np.random.default_rng(3))
         packed = evaluate_model(model, tiny_mask, ragged_dataset)
-        with nn.use_packed_decode(False):
-            padded = evaluate_model(model, tiny_mask, ragged_dataset)
+        monkeypatch.setattr(evaluation_module, "decode_model", _padded_decode)
+        padded = evaluate_model(model, tiny_mask, ragged_dataset)
         assert packed == padded
 
     def test_evaluate_model_decode_batch_is_neutral(self, tiny_config,
@@ -110,11 +122,11 @@ class TestEvaluationSite:
         assert whole == chunked
 
     def test_segment_accuracy_packed_equals_padded(self, tiny_config, tiny_mask,
-                                                   ragged_dataset):
+                                                   ragged_dataset, monkeypatch):
         model = LTEModel(tiny_config, np.random.default_rng(4))
         packed = model_segment_accuracy(model, tiny_mask, ragged_dataset)
-        with nn.use_packed_decode(False):
-            padded = model_segment_accuracy(model, tiny_mask, ragged_dataset)
+        monkeypatch.setattr(training_module, "decode_model", _padded_decode)
+        padded = model_segment_accuracy(model, tiny_mask, ragged_dataset)
         assert packed == padded
 
 
@@ -138,8 +150,7 @@ class TestFallbacks:
         tape decode is the only differentiable one."""
         model = LTEModel(tiny_config, np.random.default_rng(6))
         batch = ragged_dataset.full_batch()
-        with nn.use_sparse_masks(False):
-            log_mask = tiny_mask.build_for(batch, model)
+        log_mask = tiny_mask.build(batch)
         output = model(batch, log_mask, teacher_forcing=False)
         assert output.log_probs.requires_grad
         output.log_probs.sum().backward()  # must not raise

@@ -11,6 +11,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CHECKER = os.path.join(REPO_ROOT, "tools", "check_docs.py")
 
@@ -45,10 +47,35 @@ def test_performance_doc_covers_every_knob():
     """Each perf knob must be documented by its real, importable name."""
     with open(os.path.join(REPO_ROOT, "docs", "PERFORMANCE.md")) as handle:
         perf = handle.read()
-    for knob in ("workers", "use_fused_kernels", "use_sparse_masks",
-                 "set_default_dtype", "clear_batch_cache", "build_for",
-                 "warm"):
+    for knob in ("workers", "set_default_dtype", "clear_batch_cache",
+                 "build_for", "warm"):
         assert knob in perf, f"PERFORMANCE.md does not document {knob!r}"
+
+
+def test_hot_path_switches_are_gone():
+    """Fused kernels, sparse masks and packed decode are the only paths:
+    no process-global switch, module, or per-task/per-request copy of
+    one survives (the per-step, dense and padded paths are test oracles,
+    see tests/reference_paths.py)."""
+    import dataclasses
+    import importlib
+
+    from repro import nn
+    from repro.federated.runner import RoundTask
+    from repro.serving import ServingFlags
+
+    for kind in ("fused_kernels", "sparse_masks", "packed_decode"):
+        for name in (f"{kind}_enabled", f"set_{kind}", f"use_{kind}"):
+            assert not hasattr(nn, name), name
+            assert name not in nn.__all__, name
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.nn.fusion")
+    for cls in (RoundTask, ServingFlags):
+        fields = {f.name for f in dataclasses.fields(cls)}
+        assert not fields & {"fused_kernels", "sparse_masks",
+                             "packed_decode"}, cls
+    assert {f.name for f in dataclasses.fields(ServingFlags)} == {
+        "exchange_dtype", "compute_dtype"}
 
 
 def test_robustness_doc_covers_every_knob():

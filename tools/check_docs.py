@@ -14,7 +14,10 @@ Statically verifies every checkable claim in the documentation:
   somewhere in the Python source tree;
 * relative paths mentioned in inline code or links must exist;
 * dotted ``repro.*`` references in inline code must import (and, for
-  ``repro.mod.attr`` forms, resolve the attribute).
+  ``repro.mod.attr`` forms, resolve the attribute);
+* Sphinx cross-references (``:func:``, ``:class:``, ``:mod:``,
+  ``:meth:``, ``:attr:``, ``:data:``, ``:exc:``) to ``repro.*`` names in
+  the docstrings under ``src/`` must resolve the same way.
 
 Run from the repo root (or let ``tests/test_docs.py`` run it as part
 of the tier-1 suite):
@@ -44,6 +47,11 @@ _INLINE_CODE = re.compile(r"`([^`\n]+)`")
 _MD_LINK = re.compile(r"\[[^\]]*\]\(([^)#\s]+)\)")
 _DOTTED = re.compile(r"^repro(\.\w+)+$")
 _ENV_KNOB = re.compile(r"\bREPRO_[A-Z0-9_]+\b")
+#: A Sphinx role targeting a ``repro.*`` name: ``:func:`repro.x.f```,
+#: ``:class:`~repro.x.C```, or ``:meth:`title <repro.x.C.m>```.
+_SPHINX_REF = re.compile(
+    r":(?:func|class|mod|meth|attr|data|exc):`(?:[^`<]*<)?[~!]?"
+    r"(repro(?:\.\w+)+)>?`")
 
 #: Directories scanned for reads of documented ``REPRO_*`` env knobs.
 _SOURCE_DIRS = ("src", "tests", "benchmarks", "tools")
@@ -76,6 +84,27 @@ def _importable(module: str) -> bool:
         return True
     except Exception:
         return False
+
+
+def _resolves(name: str) -> bool:
+    """Whether dotted ``name`` is a module, or an attribute chain under
+    its longest importable module prefix (annotation-only dataclass
+    fields count as attributes)."""
+    parts = name.split(".")
+    for split in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:split]))
+        except Exception:
+            continue
+        for attr in parts[split:]:
+            if hasattr(obj, attr):
+                obj = getattr(obj, attr)
+            elif attr in getattr(obj, "__annotations__", {}):
+                obj = None  # a field without a class-level default
+            else:
+                return False
+        return True
+    return False
 
 
 def _declared_markers() -> set[str]:
@@ -203,12 +232,7 @@ def _check_inline(doc: str, text: str, errors: list[str]) -> None:
     for match in _INLINE_CODE.finditer(text):
         code = match.group(1).strip()
         if _DOTTED.match(code):
-            parts = code.split(".")
-            if _importable(code):
-                continue
-            module, attr = ".".join(parts[:-1]), parts[-1]
-            if not (_importable(module)
-                    and hasattr(importlib.import_module(module), attr)):
+            if not _resolves(code):
                 errors.append(f"{doc}: reference {code!r} does not resolve")
         elif ("/" in code or code.endswith((".py", ".md", ".json", ".ini"))) \
                 and " " not in code and not code.startswith("-"):
@@ -249,14 +273,34 @@ def check_docs(doc_files=DOC_FILES) -> list[str]:
     return errors
 
 
+def check_source_refs(source_dir: str = "src") -> list[str]:
+    """Dangling ``repro.*`` Sphinx cross-references under ``source_dir``."""
+    errors: list[str] = []
+    root = os.path.join(REPO_ROOT, source_dir)
+    for dirpath, _dirnames, filenames in os.walk(root):
+        for filename in sorted(filenames):
+            if not filename.endswith(".py"):
+                continue
+            path = os.path.join(dirpath, filename)
+            with open(path, encoding="utf-8") as handle:
+                text = handle.read()
+            for match in _SPHINX_REF.finditer(text):
+                if not _resolves(match.group(1)):
+                    line = text.count("\n", 0, match.start()) + 1
+                    errors.append(
+                        f"{os.path.relpath(path, REPO_ROOT)}:{line}: "
+                        f"cross-reference {match.group(1)!r} does not resolve")
+    return errors
+
+
 def main() -> int:
-    errors = check_docs()
+    errors = check_docs() + check_source_refs()
     if errors:
         print(f"docs-check: {len(errors)} problem(s)")
         for error in errors:
             print(f"  {error}")
         return 1
-    print(f"docs-check: OK ({', '.join(DOC_FILES)})")
+    print(f"docs-check: OK ({', '.join(DOC_FILES)}, src/ cross-references)")
     return 0
 
 
