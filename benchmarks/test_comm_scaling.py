@@ -135,12 +135,11 @@ def _run_sync_vs_async():
     def run(workers: int = 0, **knobs):
         fed_config = FederatedConfig(
             rounds=LADDER_ROUNDS, local_epochs=1, use_meta=False,
-            training=TrainingConfig(batch_size=16), **knobs,
+            training=TrainingConfig(batch_size=16), workers=workers, **knobs,
         )
         trainer = FederatedTrainer(
             lambda: LTEModel(config, np.random.default_rng(5)),
             clients, mask_builder, fed_config, global_test, seed=0,
-            workers=workers,
         )
         start = time.perf_counter()
         result = trainer.run()

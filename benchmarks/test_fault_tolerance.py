@@ -28,6 +28,7 @@ import multiprocessing
 import os
 import time
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -89,8 +90,8 @@ def _run_acceptance() -> dict:
     def run(workers: int):
         trainer = FederatedTrainer(
             lambda: LTEModel(config, np.random.default_rng(5)),
-            clients, mask_builder, fed_config, global_test, seed=0,
-            workers=workers,
+            clients, mask_builder, replace(fed_config, workers=workers),
+            global_test, seed=0,
         )
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

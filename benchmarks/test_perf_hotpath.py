@@ -46,6 +46,7 @@ import multiprocessing
 import os
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -554,8 +555,8 @@ def _time_federated_round() -> dict:
     def run(workers: int):
         trainer = FederatedTrainer(
             lambda: LTEModel(config, np.random.default_rng(5)),
-            clients, mask_builder, fed_config, global_test, seed=0,
-            workers=workers,
+            clients, mask_builder, replace(fed_config, workers=workers),
+            global_test, seed=0,
         )
         start = time.perf_counter()
         result = trainer.run()

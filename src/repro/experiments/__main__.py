@@ -144,11 +144,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--clients-per-round", type=float, default=None,
                         metavar="FRACTION",
                         help="adaptive sampling fraction of idle clients "
-                             "dispatched per async wave, in (0, 1] "
-                             "(default: dispatch every idle client)")
+                             "dispatched per async wave, in (0, 1]; needs "
+                             "--async-buffer (default: client fraction)")
     parser.add_argument("--latency", default=None, metavar="SPEC",
                         help="deterministic simulated client latency for "
-                             "async waves, e.g. "
+                             "async waves (needs --async-buffer), e.g. "
                              "'base=1,jitter=2,heavy=0.1,seed=7' (see "
                              "docs/ROBUSTNESS.md)")
     parser.add_argument("--arena-size", type=int, default=None, metavar="N",

@@ -142,7 +142,8 @@ class PendingUpload:
 
     client_id: int
     arrival_time: float  # virtual seconds since the run started
-    vector: np.ndarray  # decoded float64 upload (post-codec)
+    vector: np.ndarray  # validated upload as decoded off the wire (exchange
+    # dtype, or float64 after a lossy codec); flushes cast it exactly
     base_weight: float  # FedAvg example count (or 1.0 for uniform)
     version: int  # global-model version the client trained against
     loss: float

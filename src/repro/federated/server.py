@@ -30,14 +30,13 @@ DEFAULT_MAX_UPLOAD_NORM = 1e6
 
 class AggregationSlab:
     """A preallocated, grow-only ``(capacity, P)`` float64 staging
-    buffer for one round's uploads.
+    buffer for one flush's uploads.
 
-    The trainer decodes every accepted upload straight into a slab row
-    instead of keeping ``C`` per-client float64 vectors alive; finite
-    validation and the FedAvg reduction then run over one contiguous
-    2-D array.  Because :func:`~repro.federated.aggregation.average_flat`
-    already upcasts its stacked input to a C-contiguous float64 matrix,
-    feeding it a slab view is **bitwise identical** to the historical
+    The trainer copies every buffered upload into a slab row, so the
+    FedAvg reduction runs over one contiguous 2-D array.  Because
+    :func:`~repro.federated.aggregation.average_flat` already upcasts
+    its stacked input to a C-contiguous float64 matrix, feeding it a
+    slab view is **bitwise identical** to the historical
     stack-of-vectors path — float32→float64 casts are exact and the
     reduction sees the same memory layout either way.
 
@@ -110,23 +109,19 @@ class FederatedServer:
         """Randomly sample ``ceil(fraction * num_clients)`` client ids.
 
         ``candidates`` restricts the draw to a subset (the async
-        trainer's idle clients); the target count is still computed
-        from the federation size, capped by the candidates available.
-        An empty candidate list selects nobody.  The ``candidates=None``
-        path consumes the RNG exactly as before, so synchronous
-        histories are unchanged.
+        trainer's idle clients; None means every client); the target
+        count is still computed from the federation size, capped by
+        the candidates available.  An empty candidate list selects
+        nobody.
         """
         if not 0.0 < fraction <= 1.0:
             raise ValueError(f"client fraction must be in (0, 1], got {fraction}")
         count = max(1, int(np.ceil(fraction * num_clients)))
-        if candidates is None:
-            picks = rng.choice(num_clients, size=min(count, num_clients),
-                               replace=False)
-        else:
-            if not candidates:
-                return []
-            pool = np.asarray(sorted(candidates), dtype=np.int64)
-            picks = rng.choice(pool, size=min(count, pool.size), replace=False)
+        pool = (np.arange(num_clients, dtype=np.int64) if candidates is None
+                else np.asarray(sorted(candidates), dtype=np.int64))
+        if not pool.size:
+            return []
+        picks = rng.choice(pool, size=min(count, pool.size), replace=False)
         return sorted(int(i) for i in picks)
 
     def validate_upload(self, vector,
@@ -136,9 +131,10 @@ class FederatedServer:
 
         Checks — in order — that the payload is an array of the global
         shape ``(P,)``, of a floating dtype, fully finite, and (when
-        ``max_norm`` is given) of bounded L2 norm.  The trainer treats
-        a rejection as a client failure for the round, so one poisoned
-        payload can never NaN the global average.
+        ``max_norm`` is given) of bounded L2 norm.  The last two run in
+        :meth:`validate_rows` over a one-row float64 view.  The trainer
+        treats a rejection as a client failure for the round, so one
+        poisoned payload can never NaN the global average.
         """
         arr = np.asarray(vector)
         expected = self._space.total_size
@@ -146,32 +142,8 @@ class FederatedServer:
             return f"shape {arr.shape} != ({expected},)"
         if not np.issubdtype(arr.dtype, np.floating):
             return f"non-float dtype {arr.dtype}"
-        if not np.all(np.isfinite(arr)):
-            bad = int(arr.size - np.isfinite(arr).sum())
-            return f"{bad} non-finite entries"
-        if max_norm is not None:
-            norm = float(np.linalg.norm(arr.astype(np.float64, copy=False)))
-            if norm > max_norm:
-                return f"norm {norm:.3g} exceeds {max_norm:g}"
-        return None
-
-    def screen_upload(self, vector) -> str | None:
-        """The cheap pre-slab half of :meth:`validate_upload`.
-
-        Shape and dtype must be checked *before* an upload is copied
-        into a slab row (a wrong-shaped vector cannot be staged at
-        all); finiteness and norm are checked afterwards over the whole
-        slab by :meth:`validate_rows`.  The reason strings match
-        :meth:`validate_upload` exactly, so rejection records are
-        identical whichever path screened them.
-        """
-        arr = np.asarray(vector)
-        expected = self._space.total_size
-        if arr.shape != (expected,):
-            return f"shape {arr.shape} != ({expected},)"
-        if not np.issubdtype(arr.dtype, np.floating):
-            return f"non-float dtype {arr.dtype}"
-        return None
+        row = arr.astype(np.float64, copy=False).reshape(1, expected)
+        return self.validate_rows(row, max_norm)[0]
 
     def validate_rows(self, matrix: np.ndarray,
                       max_norm: float | None = DEFAULT_MAX_UPLOAD_NORM
@@ -179,12 +151,10 @@ class FederatedServer:
         """Per-row rejection reasons for staged uploads (None = accept).
 
         The finiteness test is vectorised over the whole ``(C, P)``
-        slab; the norm is computed per row over the 1-D view because
-        ``np.linalg.norm(matrix, axis=1)`` reduces in a different
-        association order than the per-vector call and would not be
-        bitwise-comparable with :meth:`validate_upload`'s reasons.
-        Rows are assumed pre-screened (:meth:`screen_upload`), hence
-        float64 of the right width.
+        float64 matrix; the norm is computed per row over the 1-D view
+        because ``np.linalg.norm(matrix, axis=1)`` reduces in a
+        different association order than the per-vector call.  Shape
+        and dtype are the caller's to check (:meth:`validate_upload`).
         """
         finite_rows = np.isfinite(matrix).all(axis=1)
         reasons: "list[str | None]" = []

@@ -29,6 +29,10 @@ fixed seeds the parallel run is bit-identical to the serial one — tasks
 carry each client's RNG/optimiser session state and uploads are
 aggregated in client-id order.
 
+Synchronous rounds and FedBuff-style buffered waves share one wave
+loop; ``async_buffer == 0`` is its barrier setting (docs/ROBUSTNESS.md
+"Asynchronous rounds").
+
 Fault tolerance (docs/ROBUSTNESS.md)
 ------------------------------------
 The runtime degrades gracefully instead of failing closed:
@@ -143,6 +147,7 @@ class FederatedConfig:
     clients_per_round: float | None = None  # async sampling fraction
     # (defaults to client_fraction); sampled from *idle* clients only
     latency: "LatencyModel | LatencySpec | str | None" = None  # arrival model
+    # (clients_per_round and latency are async-only: rejected at the barrier)
     # --- client-scale knobs (docs/PERFORMANCE.md "Client scale") ---
     arena_size: int = 1  # live model/trainer slots
     collation_cache_entries: int = 0  # per-dataset batch-cache cap (0 = default)
@@ -175,6 +180,12 @@ class FederatedConfig:
         if (self.clients_per_round is not None
                 and not 0.0 < self.clients_per_round <= 1.0):
             raise ValueError("clients_per_round must be in (0, 1]")
+        if self.async_buffer == 0:
+            for name in ("clients_per_round", "latency"):
+                if getattr(self, name) is not None:
+                    raise ValueError(
+                        f"{name} only applies to async waves; set "
+                        f"async_buffer >= 1 or leave {name} unset")
         if self.arena_size < 1:
             raise ValueError("arena_size must be >= 1")
         if self.lazy_clients is False:
@@ -205,12 +216,13 @@ class RoundRecord:
     mean_lambda: float
     global_accuracy: float
     completed_clients: tuple[int, ...] = ()  # uploads that passed validation
-    # (async mode: uploads *applied* this wave, in virtual-arrival order)
+    # (async mode: uploads that *arrived* this wave, in virtual-arrival
+    # order, whether or not a flush applied them yet)
     failures: tuple[ClientFailure, ...] = ()  # ascending client id
     retries: tuple[tuple[int, int], ...] = ()  # (client_id, extra attempts)
     aggregated: bool = True  # False = quorum failed, global vector held
     fallback_cause: str = field(default="", compare=False)
-    # --- async-mode telemetry (defaults keep synchronous records as-is) ---
+    # --- async-mode telemetry (barrier rounds keep the defaults) ---
     flushes: int = 0  # buffer flushes applied to the global model this wave
     mean_staleness: float = 0.0  # mean staleness of the uploads flushed
     in_flight: tuple[int, ...] = ()  # clients still travelling/buffered after
@@ -304,7 +316,6 @@ class FederatedTrainer:
                  global_test: TrajectoryDataset,
                  seed: int = 0,
                  privatizer=None,
-                 workers: int | None = None,
                  runner: RoundRunner | None = None):
         if not client_data:
             raise ValueError("need at least one client")
@@ -352,13 +363,10 @@ class FederatedTrainer:
             for i, data in enumerate(self._client_data)
         ]
         self.clients = LazyClientList(self)
-        # One round's uploads stage into a preallocated float64 slab;
-        # decode, validation, and the FedAvg reduction run over one
-        # contiguous (C, P) matrix instead of C boxed vectors.
+        # Each flush stages its uploads into a preallocated float64
+        # slab, so the FedAvg reduction runs over one contiguous
+        # (C, P) matrix.
         self._slab = AggregationSlab(self.server.num_parameters)
-        self.workers = config.workers if workers is None else workers
-        if self.workers < 0:
-            raise ValueError("workers must be >= 0 (0 = serial)")
         self._runner = runner  # explicit injection wins; else built lazily
         self._teacher_flat: np.ndarray | None = None
         self._setup_has_teacher = False  # the active runner's setup has it
@@ -390,10 +398,10 @@ class FederatedTrainer:
             # teacher pre-training, so the snapshot — when the run has
             # one — exists by now.
             self._setup_has_teacher = self._teacher_flat is not None
-            if self.workers > 0:
+            if self.config.workers > 0:
                 self._runner = ProcessPoolRunner(
                     self._worker_setup(),
-                    workers=min(self.workers, len(self._client_data)),
+                    workers=min(self.config.workers, len(self._client_data)),
                 )
             else:
                 self._runner = self._arena_runner()
@@ -582,11 +590,9 @@ class FederatedTrainer:
         start_round = 0
         if resume is not None:
             start_round = self._restore(resume, ledger, history)
-        run_one = (self._run_async_wave if self._async is not None
-                   else self._run_round)
         try:
             for round_index in range(start_round, self.config.rounds):
-                record = run_one(round_index, ledger)
+                record = self._run_wave(round_index, ledger)
                 history.append(record)
                 if (self.config.checkpoint_every
                         and (round_index + 1) % self.config.checkpoint_every == 0):
@@ -694,154 +700,29 @@ class FederatedTrainer:
                 self.server.global_model, self.mask_builder, self.global_test)
         return self._last_accuracy
 
-    def _run_round(self, round_index: int,
-                   ledger: CommunicationLedger) -> RoundRecord:
-        selected = self.server.select_clients(
-            len(self.clients), self.config.client_fraction, self._rng
-        )
-        # The whole exchange moves flat (P,) vectors: broadcast, upload,
-        # privatisation, and the stacked (C, P) average.
-        wire, reference, bytes_down = self._broadcast_payload()
-        runner = self._get_runner()
-        tasks = self._build_tasks(selected, wire, round_index)
-        execution, fallback_cause = self._execute_tasks(runner, tasks)
+    def _run_wave(self, wave: int, ledger: CommunicationLedger) -> RoundRecord:
+        """One wave: select → broadcast → dispatch → collect → arrive →
+        flush → evaluate → ledger → record.
 
-        failures = list(execution.failures)
-        results = execution.results  # task (= ascending client-id) order
-        upload_bytes: list[int] = []
-        weights: list[float] = []
-        losses: list[float] = []
-        lambdas: list[float] = []
-        completed: list[int] = []
-        exchange_dtype = nn.get_default_dtype()
-        # Stage uploads into the preallocated slab: each screened
-        # payload is cast into one float64 row, so finiteness/norm
-        # validation and the FedAvg reduction run over a single
-        # contiguous (C, P) matrix — bitwise the stack-of-vectors path,
-        # without C boxed float64 copies.  Trained state is adopted
-        # even when the upload is rejected below — the client trained
-        # fine, only its wire payload is bad.
-        rows = self._slab.rows(len(results))
-        staged = []  # results whose uploads occupy rows[:len(staged)]
-        for result in results:
-            self._adopt_result(result)
-            rejection = self.server.screen_upload(result.upload_flat)
-            if rejection is not None:
-                failures.append(ClientFailure(result.client_id, "rejected", 1,
-                                              rejection))
-                continue
-            rows[len(staged)] = result.upload_flat  # exact float64 cast
-            staged.append(result)
-        reasons = self.server.validate_rows(rows[:len(staged)],
-                                            self.config.max_upload_norm)
-        kept = 0
-        for row, (result, reason) in enumerate(zip(staged, reasons)):
-            if reason is not None:
-                failures.append(ClientFailure(result.client_id, "rejected", 1,
-                                              reason))
-                continue
-            if self.privatizer is not None:
-                # Privatise from the original upload object — identical
-                # RNG stream and dtype path to the per-vector era —
-                # then overwrite the (compacted) slab row.
-                flat = self.privatizer.privatize_update_flat(
-                    result.upload_flat, reference)
-                if self.codec.is_identity:
-                    flat = np.asarray(flat, dtype=exchange_dtype)
-                rows[kept] = flat
-            elif kept != row:
-                rows[kept] = rows[row]  # compact over rejected rows
-            upload_bytes.append(self._upload_bytes(result))
-            completed.append(result.client_id)
-            weights.append(result.metrics["num_examples"])
-            losses.append(result.metrics["loss"])
-            lambdas.append(result.metrics["lambda"])
-            kept += 1
-        failures.sort(key=lambda failure: failure.client_id)
+        ``async_buffer == 0`` is the synchronous barrier, the FedBuff
+        wave whose buffer is the whole cohort and where nothing is
+        stale: the aggregator state is wave-local, uploads arrive in
+        client-id order with no latency draw, the buffer flushes once
+        at the end of the wave, and uploads short of quorum are
+        dropped instead of carried over.
 
-        aggregated = kept >= self.config.min_clients_per_round
-        if aggregated:
-            agg_weights = weights if self.config.aggregation == "fedavg" else None
-            # FedAvg weights renormalise over the survivors automatically
-            # (np.average divides by the surviving weight mass).
-            self.server.aggregate_rows(rows[:kept], agg_weights)
-            accuracy = model_segment_accuracy(
-                self.server.global_model, self.mask_builder, self.global_test
-            )
-            self._last_accuracy = accuracy
-            mean_loss = float(np.mean(losses))
-            mean_lambda = float(np.mean(lambdas))
-        else:
-            # Quorum failed: hold the global vector, skip aggregation,
-            # and record NaN-free sentinel statistics (np.mean over an
-            # empty survivor list would be NaN).
-            accuracy = self._held_accuracy()
-            mean_loss = 0.0
-            mean_lambda = 0.0
-        # Every selected client received the broadcast, even the ones
-        # that failed to upload.  (upload_bytes already carries the
-        # measured wire sizes; the staged vectors need not be passed.)
-        ledger.record_round(round_index, wire, [],
-                            num_broadcast=len(selected),
-                            broadcast_bytes=bytes_down,
-                            upload_bytes=upload_bytes)
-
-        return RoundRecord(
-            round_index=round_index,
-            selected_clients=tuple(selected),
-            mean_loss=mean_loss,
-            mean_lambda=mean_lambda,
-            global_accuracy=accuracy,
-            completed_clients=tuple(completed),
-            failures=tuple(failures),
-            retries=tuple(sorted(execution.retry_counts.items())),
-            aggregated=aggregated,
-            fallback_cause=fallback_cause,
-        )
-
-    # ------------------------------------------------------------------
-    # asynchronous waves (FedBuff-style buffered aggregation)
-    # ------------------------------------------------------------------
-    def _flush_buffer(self) -> list[int]:
-        """Apply the buffered uploads to the global model; returns the
-        flushed uploads' staleness values."""
-        state = self._async
-        entries = state.take_buffer()
-        staleness = [state.version - upload.version for upload in entries]
-        weights = staleness_weights([u.base_weight for u in entries],
-                                    staleness, self.config.staleness_alpha)
-        if (self.config.staleness_alpha == 0.0
-                and self.config.aggregation != "fedavg"):
-            # alpha=0 + uniform: every weight is exactly 1.0 — take the
-            # unweighted np.average path so an async flush over the same
-            # uploads is bitwise the synchronous aggregation.
-            agg_weights = None
-        else:
-            agg_weights = [float(w) for w in weights]
-        # The buffered float64 vectors were validated at dispatch; the
-        # flush stages them into the slab so the reduction runs over
-        # one contiguous matrix (bitwise the stacked-list path).
-        rows = self._slab.rows(len(entries))
-        for i, upload in enumerate(entries):
-            rows[i] = upload.vector
-        self.server.aggregate_rows(rows[:len(entries)], agg_weights)
-        state.version += 1
-        return staleness
-
-    def _run_async_wave(self, wave: int,
-                        ledger: CommunicationLedger) -> RoundRecord:
-        """One async wave: dispatch idle clients, then advance virtual
-        time until the next buffer flush (or the wire runs dry).
-
-        Wall-clock never gates progress: stragglers' delays are virtual
+        Otherwise the wave is asynchronous: it dispatches idle clients
+        and advances virtual time until the next buffer flush (or, on
+        the final wave, until the wire runs dry).  Wall-clock never
+        gates progress: stragglers' delays are virtual
         (``RoundTask.defer_stragglers``), arrivals are ordered by the
         seeded latency model, and the global model advances every
-        ``async_buffer`` arrivals — so a slow client delays only its own
-        contribution, never the round.
+        ``async_buffer`` arrivals — so a slow client delays only its
+        own contribution, never the round.
         """
-        state = self._async
         config = self.config
-        runner = self._get_runner()
+        barrier = config.async_buffer == 0
+        state = AsyncAggregatorState() if barrier else self._async
         busy = state.busy_clients()
         idle = [i for i in range(len(self.clients)) if i not in busy]
         fraction = (config.clients_per_round
@@ -852,37 +733,48 @@ class FederatedTrainer:
 
         execution = RoundExecution(results=[])
         fallback_cause = ""
+        reference = None
         bytes_down = 0
         if selected:
+            # The whole exchange moves flat (P,) vectors: broadcast,
+            # upload, privatisation, and the (C, P) slab average.
             wire, reference, bytes_down = self._broadcast_payload()
+            runner = self._get_runner()
             tasks = self._build_tasks(selected, wire, wave,
-                                      defer_stragglers=True)
+                                      defer_stragglers=not barrier)
             execution, fallback_cause = self._execute_tasks(runner, tasks)
 
-        # Stage the survivors' uploads on the virtual wire.  Validation
-        # and privatisation happen at dispatch — the payload does not
-        # change in flight — so buffered vectors are aggregation-ready.
+        # Collect the survivors' uploads onto the (virtual) wire.
+        # Trained state is adopted even when the upload is rejected —
+        # the client trained fine, only its wire payload is bad.
+        # Validation and privatisation happen here, at dispatch — the
+        # payload does not change in flight — so buffered vectors are
+        # aggregation-ready.
         failures = list(execution.failures)
-        for result in execution.results:
+        for result in execution.results:  # task (= ascending client-id) order
             self._adopt_result(result)
-            upload = np.asarray(result.upload_flat, dtype=np.float64)
-            rejection = self.server.validate_upload(
-                upload, config.max_upload_norm)
+            rejection = self.server.validate_upload(result.upload_flat,
+                                                    config.max_upload_norm)
             if rejection is not None:
                 failures.append(ClientFailure(result.client_id, "rejected", 1,
                                               rejection))
                 continue
+            vector = result.upload_flat
             if self.privatizer is not None:
-                upload = np.asarray(
-                    self.privatizer.privatize_update_flat(upload, reference),
-                    dtype=np.float64)
-            arrival = (state.virtual_now
-                       + self.latency.draw(wave, result.client_id)
-                       + result.straggler_delay)
+                # Privatise from the original upload object; under the
+                # identity codec the privatised vector is re-cast to the
+                # exchange dtype, as any upload on that wire is.
+                vector = self.privatizer.privatize_update_flat(vector,
+                                                               reference)
+                if self.codec.is_identity:
+                    vector = np.asarray(vector, dtype=nn.get_default_dtype())
+            latency = 0.0 if barrier else self.latency.draw(wave,
+                                                            result.client_id)
             state.in_flight.append(PendingUpload(
                 client_id=result.client_id,
-                arrival_time=arrival,
-                vector=upload,
+                arrival_time=state.virtual_now + latency
+                + result.straggler_delay,
+                vector=vector,
                 base_weight=(result.metrics["num_examples"]
                              if config.aggregation == "fedavg" else 1.0),
                 version=state.version,
@@ -895,11 +787,38 @@ class FederatedTrainer:
         # Deterministic arrival order: virtual time, client id tie-break.
         state.in_flight.sort(key=lambda u: (u.arrival_time, u.client_id))
 
+        # Nothing is stale at the barrier, so it aggregates with the
+        # plain FedAvg weights.
+        alpha = 0.0 if barrier else config.staleness_alpha
+
+        def flush() -> list[int]:
+            """Apply the buffered uploads to the global model; returns
+            their staleness values."""
+            entries = state.take_buffer()
+            staleness = [state.version - upload.version for upload in entries]
+            if alpha == 0.0 and config.aggregation != "fedavg":
+                # Every weight is exactly 1.0: take the unweighted
+                # np.average path.
+                agg_weights = None
+            else:
+                agg_weights = [float(w) for w in staleness_weights(
+                    [u.base_weight for u in entries], staleness, alpha)]
+            # Stage the buffered vectors into the slab (an exact
+            # float64 cast) so the reduction runs over one contiguous
+            # (C, P) matrix.
+            rows = self._slab.rows(len(entries))
+            for i, upload in enumerate(entries):
+                rows[i] = upload.vector
+            self.server.aggregate_rows(rows, agg_weights)
+            state.version += 1
+            return staleness
+
         # Advance the virtual clock until one flush lands (the cadence
-        # that triggers the next dispatch wave); the final wave drains
-        # everything still travelling.
-        buffer_size = config.async_buffer
-        drain = wave == config.rounds - 1
+        # that triggers the next dispatch wave); the barrier and the
+        # final async wave drain everything still travelling.
+        buffer_size = config.async_buffer or len(selected)
+        quorum = config.min_clients_per_round
+        drain = barrier or wave == config.rounds - 1
         flushes = 0
         staleness_applied: list[int] = []
         completed: list[int] = []
@@ -914,16 +833,18 @@ class FederatedTrainer:
             upload_bytes.append(upload.payload_bytes)
             losses.append(upload.loss)
             lambdas.append(upload.lam)
-            if (len(state.buffer) >= buffer_size
-                    and len(state.buffer) >= config.min_clients_per_round):
-                staleness_applied.extend(self._flush_buffer())
+            if len(state.buffer) >= buffer_size and len(state.buffer) >= quorum:
+                staleness_applied.extend(flush())
                 flushes += 1
-        if (drain and state.buffer
-                and len(state.buffer) >= config.min_clients_per_round):
-            # Final partial flush: the run ends with no quorum-sized
-            # upload stranded in the buffer.
-            staleness_applied.extend(self._flush_buffer())
+        if drain and state.buffer and len(state.buffer) >= quorum:
+            # Final partial flush: no quorum-sized upload is stranded.
+            staleness_applied.extend(flush())
             flushes += 1
+        if barrier and not flushes:
+            # Quorum failed: hold the global vector, drop the uploads
+            # (nothing carries over a barrier), and record NaN-free
+            # sentinel statistics.
+            losses, lambdas = [], []
 
         if flushes:
             accuracy = model_segment_accuracy(
@@ -931,6 +852,8 @@ class FederatedTrainer:
             self._last_accuracy = accuracy
         else:
             accuracy = self._held_accuracy()
+        # Every selected client received the broadcast, even the ones
+        # that failed to upload.
         ledger.record_round(wave, None, [], num_broadcast=len(selected),
                             broadcast_bytes=bytes_down,
                             upload_bytes=upload_bytes)
@@ -946,10 +869,10 @@ class FederatedTrainer:
             retries=tuple(sorted(execution.retry_counts.items())),
             aggregated=flushes > 0,
             fallback_cause=fallback_cause,
-            flushes=flushes,
+            flushes=0 if barrier else flushes,  # async telemetry
             mean_staleness=(float(np.mean(staleness_applied))
                             if staleness_applied else 0.0),
-            in_flight=tuple(sorted(state.busy_clients())),
+            in_flight=() if barrier else tuple(sorted(state.busy_clients())),
         )
 
 

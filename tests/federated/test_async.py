@@ -9,16 +9,19 @@ to the synchronous FedAvg trajectory when the buffer spans the cohort,
 
 from __future__ import annotations
 
+import dataclasses
 import multiprocessing as mp
 import time
 
 import numpy as np
 import pytest
 
+from repro import nn
 from repro.core import ConstraintMaskBuilder, LTEModel, TrainingConfig
 from repro.federated import (
     FederatedConfig,
     FederatedTrainer,
+    GaussianMechanism,
     LatencyModel,
     LatencySpec,
     build_federation,
@@ -123,30 +126,51 @@ class TestLatencyModel:
             LatencySpec(base=-1.0)
 
 
+def noisy_mechanism():
+    return GaussianMechanism(clip_norm=5.0, noise_multiplier=0.01,
+                             rng=np.random.default_rng(4))
+
+
 class TestSyncEquivalence:
     @pytest.mark.fault_free  # a dropped client breaks the K = cohort premise
+    @pytest.mark.parametrize("case", [
+        {},
+        {"aggregation": "fedavg"},
+        {"exchange_codec": "int8"},
+        {"exchange_dtype": "float32", "privatizer": noisy_mechanism},
+    ], ids=["uniform", "fedavg", "int8", "float32-privatised"])
     def test_full_buffer_alpha_zero_matches_sync_bitwise(self, federation,
-                                                         mask, tiny_config):
+                                                         mask, tiny_config,
+                                                         case):
         """K = cohort size, alpha = 0, no jitter: every wave dispatches
         everyone, everyone arrives, and one flush aggregates the same
-        uploads the synchronous barrier would — bit for bit."""
+        uploads the synchronous barrier would — bit for bit.  A
+        privatised upload re-enters the exchange dtype in both modes."""
         clients, _ = federation
-        sync = make_trainer(federation, mask, tiny_config, fed_config())
-        sync_result = sync.run()
-        async_trainer = make_trainer(
-            federation, mask, tiny_config,
-            fed_config(async_buffer=len(clients), staleness_alpha=0.0,
-                       latency="base=1,jitter=0"))
-        async_result = async_trainer.run()
+        case = dict(case)
+        privatizer = case.pop("privatizer", None)
+        exchange_dtype = case.pop("exchange_dtype", "float64")
+
+        def run(**kwargs):
+            trainer = make_trainer(
+                federation, mask, tiny_config, fed_config(**case, **kwargs),
+                privatizer=privatizer() if privatizer else None)
+            return trainer, trainer.run()
+
+        with nn.use_default_dtype(exchange_dtype):
+            sync, sync_result = run()
+            async_trainer, async_result = run(
+                async_buffer=len(clients), staleness_alpha=0.0,
+                latency="base=1,jitter=0")
 
         assert np.array_equal(sync.server.global_flat(dtype=np.float64),
                               async_trainer.server.global_flat(dtype=np.float64))
-        for sync_rec, async_rec in zip(sync_result.history,
-                                       async_result.history):
-            assert async_rec.global_accuracy == sync_rec.global_accuracy
-            assert async_rec.mean_loss == sync_rec.mean_loss
+        for async_rec in async_result.history:
             assert async_rec.flushes == 1
             assert async_rec.mean_staleness == 0.0
+        assert [dataclasses.replace(rec, flushes=0)
+                for rec in async_result.history] == sync_result.history
+        assert async_result.ledger.rounds == sync_result.ledger.rounds
         for sync_client, async_client in zip(sync.clients,
                                              async_trainer.clients):
             assert np.array_equal(

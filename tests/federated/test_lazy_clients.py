@@ -258,12 +258,11 @@ class TestSlabAggregation:
         assert reasons[0] == server.validate_upload(bad_nan)
         assert reasons[1] == server.validate_upload(bad_norm)
         assert reasons[2] is None is server.validate_upload(good)
-        # The pre-slab screen catches what cannot be staged at all.
-        assert server.screen_upload(np.zeros(3)) == \
-            server.validate_upload(np.zeros(3))
-        assert server.screen_upload(np.zeros(p, dtype=np.int64)) == \
-            server.validate_upload(np.zeros(p, dtype=np.int64))
-        assert server.screen_upload(good) is None
+        # What cannot be viewed as one float64 row is screened first.
+        assert server.validate_upload(np.zeros(3)) == "shape (3,) != " \
+            f"({p},)"
+        assert server.validate_upload(np.zeros(p, dtype=np.int64)) == \
+            "non-float dtype int64"
 
     def test_empty_slab_rejected(self, tiny_config):
         server = self._server(tiny_config)
