@@ -18,6 +18,22 @@ Two presets mirror the statistics that matter (Table III):
 Driver home regions concentrate each driver's trips in one part of the
 city, so partitioning clients by driver yields the Non-IID data
 distribution the meta-knowledge module is designed to handle.
+
+Stream contract
+---------------
+A world is a pure function of ``(config, seed, network)``, and the
+order and distribution of every random draw are part of that function,
+so worlds, perfbench digests and published results stay bitwise
+reproducible.  Per trip the walker draws the start segment, three
+uniforms (start ratio, start time, speed factor), then per point two
+GPS-noise normals and one distance uniform, and per segment change a
+forward-gate ``random()`` (only when a non-U-turn way exists) and the
+pick's ``random()``.  A pick is ``cdf.searchsorted(random(),
+side="right")``, the draw ``Generator.choice(n, p=)`` makes, and a trip
+uniform is ``lo + (hi - lo) * random()``, the draw
+``Generator.uniform`` makes.  ``tests/data/test_synthetic_stream.py``
+pins both identities and checks the generator bit for bit against the
+original scalar walker in ``tests/data/synthetic_oracle.py``.
 """
 
 from __future__ import annotations
@@ -27,7 +43,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..spatial.generators import grid_city
-from ..spatial.geometry import Point
 from ..spatial.grid import Grid
 from ..spatial.roadnet import RoadNetwork, RoadSegment
 from .trajectory import MatchedPoint, MatchedTrajectory, RawPoint, RawTrajectory
@@ -67,8 +82,19 @@ class SyntheticConfig:
     def __post_init__(self):
         if self.num_drivers < 1:
             raise ValueError("need at least one driver")
+        if self.trajectories_per_driver < 1:
+            raise ValueError("need at least one trajectory per driver")
         if self.points_per_trajectory < 3:
             raise ValueError("trajectories must have at least 3 points")
+        if not self.epsilon > 0:
+            raise ValueError("sampling interval epsilon must be positive")
+        lo, hi = self.speed_range
+        if not 0 < lo <= hi:
+            raise ValueError("speed_range must be (lo, hi) with 0 < lo <= hi")
+        if not self.gps_noise_std >= 0:
+            raise ValueError("gps_noise_std must be non-negative")
+        if not self.grid_cell_size > 0:
+            raise ValueError("grid_cell_size must be positive")
         if not 0.0 <= self.home_concentration <= 1.0:
             raise ValueError("home_concentration must be in [0, 1]")
 
@@ -108,18 +134,15 @@ def generate_dataset(config: SyntheticConfig, seed: int = 0,
         )
 
     drivers = _make_drivers(config, network, rng)
+    tables = [_WalkTable(network, segment) for segment in network.segments]
     raw: list[RawTrajectory] = []
     matched: list[MatchedTrajectory] = []
-    traj_id = 0
     for driver in drivers:
+        walker = _Walker(network, tables, driver, rng)
         for _ in range(config.trajectories_per_driver):
-            walked = _walk_trajectory(network, driver, config, rng, traj_id)
-            if walked is None:
-                continue
-            matched_traj, raw_traj = walked
+            matched_traj, raw_traj = walker.trip(config, len(matched))
             matched.append(matched_traj)
             raw.append(raw_traj)
-            traj_id += 1
 
     min_x, min_y, max_x, max_y = network.bounding_box()
     margin = 3.0 * config.gps_noise_std + config.grid_cell_size
@@ -195,70 +218,120 @@ def _start_segment(network: RoadNetwork, driver: DriverProfile,
     return candidates[int(rng.integers(len(candidates)))]
 
 
-def _pick_next_segment(network: RoadNetwork, current: RoadSegment,
-                       driver: DriverProfile, rng: np.random.Generator) -> RoadSegment:
-    successors = network.successors(current.segment_id)
-    if not successors:
-        # Dead end: legal only by U-turn.
-        return _reverse_of(network, current)
-    forward = [s for s in successors if s.end_node != current.start_node]
-    pool = forward if (forward and rng.random() < driver.turn_bias + 0.1) else successors
-    weights = np.ones(len(pool))
-    # Prefer roughly straight continuations (dot product of directions).
-    cur_dir = np.array([current.end.x - current.start.x, current.end.y - current.start.y])
-    cur_norm = np.linalg.norm(cur_dir) + 1e-9
-    for i, seg in enumerate(pool):
-        nxt = np.array([seg.end.x - seg.start.x, seg.end.y - seg.start.y])
-        cos = float(cur_dir @ nxt / (cur_norm * (np.linalg.norm(nxt) + 1e-9)))
-        weights[i] = np.exp(driver.turn_bias * 2.0 * cos)
-    weights /= weights.sum()
-    return pool[int(rng.choice(len(pool), p=weights))]
+def _uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
+    """``rng.uniform(lo, hi)`` at a third of its call cost: the same
+    single ``random()`` draw, scaled by the same expression."""
+    return lo + (hi - lo) * rng.random()
 
 
-def _reverse_of(network: RoadNetwork, segment: RoadSegment) -> RoadSegment:
-    for seg in network.out_segments(segment.end_node):
-        if seg.end_node == segment.start_node:
-            return seg
-    return segment  # one-way dead end: stay put (walker will stall)
+class _WalkTable:
+    """Walk table of one segment: its geometry and the ways on.
+
+    ``successors`` are the segments leaving its end node and ``forward``
+    those that do not U-turn; each ``*_cos`` list holds the cosine
+    between this segment's direction and the candidate's.
+    """
+
+    __slots__ = ("x", "y", "dx", "dy", "length", "successors", "successor_cos",
+                 "forward", "forward_cos")
+
+    def __init__(self, network: RoadNetwork, segment: RoadSegment):
+        self.x, self.y = segment.start.x, segment.start.y
+        self.dx, self.dy = segment.end.x - segment.start.x, segment.end.y - segment.start.y
+        self.length = max(segment.length, 1e-6)
+        self.successors = network.successors(segment.segment_id)
+        self.forward = [s for s in self.successors if s.end_node != segment.start_node]
+        cur_dir = np.array([self.dx, self.dy])
+        cur_norm = np.linalg.norm(cur_dir) + 1e-9
+
+        def cosine(seg: RoadSegment) -> float:
+            nxt = np.array([seg.end.x - seg.start.x, seg.end.y - seg.start.y])
+            return float(cur_dir @ nxt / (cur_norm * (np.linalg.norm(nxt) + 1e-9)))
+
+        self.successor_cos = [cosine(s) for s in self.successors]
+        self.forward_cos = [cosine(s) for s in self.forward]
 
 
-def _walk_trajectory(network: RoadNetwork, driver: DriverProfile,
-                     config: SyntheticConfig, rng: np.random.Generator,
-                     traj_id: int) -> tuple[MatchedTrajectory, RawTrajectory] | None:
-    segment = _start_segment(network, driver, rng)
-    ratio = float(rng.uniform(0.0, 0.5))
-    t0 = float(rng.uniform(0.0, 86_400.0))
-    speed = driver.speed_mps * float(rng.uniform(0.85, 1.15))
+class _Walker:
+    """One driver's trip walker over the per-network walk tables.
 
-    matched_points: list[MatchedPoint] = []
-    raw_points: list[RawPoint] = []
-    for i in range(config.points_per_trajectory):
-        t = t0 + i * config.epsilon
-        matched_points.append(MatchedPoint(segment.segment_id, ratio, t, tid=i))
-        pos = segment.position_at(ratio)
-        noise = rng.normal(0.0, config.gps_noise_std, size=2)
-        raw_points.append(RawPoint(pos.x + float(noise[0]), pos.y + float(noise[1]), t))
+    ``cdfs`` memoises the pick distribution per ``(segment, forward?)``
+    for this driver only, since it depends on the driver's turn bias.
+    """
 
-        # Advance along the network for epsilon seconds.
-        remaining = speed * config.epsilon * float(rng.uniform(0.8, 1.2))
-        guard = 0
-        while remaining > 0 and guard < 64:
-            guard += 1
-            seg_len = max(segment.length, 1e-6)
-            ahead = (1.0 - ratio) * seg_len
-            if remaining < ahead:
-                ratio += remaining / seg_len
-                remaining = 0.0
-            else:
-                remaining -= ahead
-                segment = _pick_next_segment(network, segment, driver, rng)
-                ratio = 0.0
-    if len(matched_points) < 3:
-        return None
-    matched = MatchedTrajectory(
-        traj_id=traj_id, driver_id=driver.driver_id,
-        epsilon=config.epsilon, points=tuple(matched_points),
-    )
-    raw = RawTrajectory(traj_id=traj_id, driver_id=driver.driver_id,
-                        points=tuple(raw_points))
-    return matched, raw
+    def __init__(self, network: RoadNetwork, tables: list[_WalkTable],
+                 driver: DriverProfile, rng: np.random.Generator):
+        self.network = network
+        self.tables = tables
+        self.driver = driver
+        self.rng = rng
+        self.cdfs: dict[tuple[int, bool], np.ndarray] = {}
+
+    def _cdf(self, cosines: list[float]) -> np.ndarray:
+        # Prefer roughly straight continuations.  The weights, their
+        # normalisation and the cumulative sum are the ones
+        # ``rng.choice(n, p=weights)`` would build from them.
+        weights = np.ones(len(cosines))
+        for i, cos in enumerate(cosines):
+            weights[i] = np.exp(self.driver.turn_bias * 2.0 * cos)
+        weights /= weights.sum()
+        cdf = weights.cumsum()
+        cdf /= cdf[-1]
+        return cdf
+
+    def _next(self, segment: RoadSegment, table: _WalkTable) -> RoadSegment:
+        if not table.successors:
+            # Dead end: nothing leaves the end node, not even a U-turn,
+            # so the walker stalls in place.
+            return segment
+        rng = self.rng
+        if table.forward and rng.random() < self.driver.turn_bias + 0.1:
+            pool, cosines, key = table.forward, table.forward_cos, (segment.segment_id, True)
+        else:
+            pool, cosines, key = table.successors, table.successor_cos, (segment.segment_id, False)
+        cdf = self.cdfs.get(key)
+        if cdf is None:
+            cdf = self.cdfs[key] = self._cdf(cosines)
+        return pool[int(cdf.searchsorted(rng.random(), side="right"))]
+
+    def trip(self, config: SyntheticConfig,
+             traj_id: int) -> tuple[MatchedTrajectory, RawTrajectory]:
+        rng = self.rng
+        segment = _start_segment(self.network, self.driver, rng)
+        table = self.tables[segment.segment_id]
+        ratio = _uniform(rng, 0.0, 0.5)
+        t0 = _uniform(rng, 0.0, 86_400.0)
+        speed = self.driver.speed_mps * _uniform(rng, 0.85, 1.15)
+
+        matched_points: list[MatchedPoint] = []
+        raw_points: list[RawPoint] = []
+        for i in range(config.points_per_trajectory):
+            t = t0 + i * config.epsilon
+            matched_points.append(MatchedPoint(segment.segment_id, ratio, t, tid=i))
+            # ``RoadSegment.position_at``: the ratio clamped to [0, 1].
+            r = min(1.0, max(0.0, ratio))
+            noise_x, noise_y = rng.normal(0.0, config.gps_noise_std, size=2).tolist()
+            raw_points.append(RawPoint(table.x + r * table.dx + noise_x,
+                                       table.y + r * table.dy + noise_y, t))
+
+            # Advance along the network for epsilon seconds.
+            remaining = speed * config.epsilon * _uniform(rng, 0.8, 1.2)
+            guard = 0
+            while remaining > 0 and guard < 64:
+                guard += 1
+                ahead = (1.0 - ratio) * table.length
+                if remaining < ahead:
+                    ratio += remaining / table.length
+                    remaining = 0.0
+                else:
+                    remaining -= ahead
+                    segment = self._next(segment, table)
+                    table = self.tables[segment.segment_id]
+                    ratio = 0.0
+        matched = MatchedTrajectory(
+            traj_id=traj_id, driver_id=self.driver.driver_id,
+            epsilon=config.epsilon, points=tuple(matched_points),
+        )
+        raw = RawTrajectory(traj_id=traj_id, driver_id=self.driver.driver_id,
+                            points=tuple(raw_points))
+        return matched, raw

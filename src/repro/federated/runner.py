@@ -81,7 +81,10 @@ original fail-closed behaviour.
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import multiprocessing as mp
+import os
 import time
 from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
@@ -376,8 +379,30 @@ class RoundRunner:
 _WORKER: "TaskExecutor | None" = None
 
 
+def _bundled_openblas() -> "ctypes.CDLL | None":
+    """NumPy's bundled scipy-openblas, or ``None`` under another BLAS."""
+    pattern = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                           "libscipy_openblas64_*.so")
+    for path in glob.glob(pattern):
+        lib = ctypes.CDLL(path)
+        if not (hasattr(lib, "scipy_openblas_set_num_threads64_")
+                and hasattr(lib, "scipy_openblas_get_num_threads64_")):
+            continue
+        lib.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
+        lib.scipy_openblas_set_num_threads64_.restype = None
+        lib.scipy_openblas_get_num_threads64_.argtypes = []
+        lib.scipy_openblas_get_num_threads64_.restype = ctypes.c_int
+        return lib
+    return None
+
+
 def _init_worker(setup: WorkerSetup) -> None:
     global _WORKER
+    # A forked worker's OpenBLAS keeps one thread per core, so N workers
+    # would run N x cores BLAS threads and oversubscribe the CPU.
+    blas = _bundled_openblas()
+    if blas is not None:
+        blas.scipy_openblas_set_num_threads64_(1)
     _WORKER = TaskExecutor(setup)
 
 

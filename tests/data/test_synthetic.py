@@ -78,12 +78,27 @@ class TestGeneration:
                 assert 0 <= ds.grid.cell_id(Point(p.x, p.y)) < ds.grid.num_cells
 
     def test_invalid_config(self):
-        with pytest.raises(ValueError):
-            SyntheticConfig(num_drivers=0)
-        with pytest.raises(ValueError):
-            SyntheticConfig(points_per_trajectory=2)
-        with pytest.raises(ValueError):
-            SyntheticConfig(home_concentration=1.5)
+        for bad in [
+            {"num_drivers": 0},
+            {"points_per_trajectory": 2},
+            {"home_concentration": 1.5},
+            {"trajectories_per_driver": 0},
+            {"epsilon": 0.0},
+            {"epsilon": -15.0},
+            {"epsilon": float("nan")},
+            {"speed_range": (0.0, 14.0)},
+            {"speed_range": (-6.0, 14.0)},
+            {"speed_range": (14.0, 6.0)},
+            {"gps_noise_std": -1.0},
+            {"grid_cell_size": 0.0},
+            {"grid_cell_size": -150.0},
+        ]:
+            with pytest.raises(ValueError):
+                SyntheticConfig(**bad)
+
+    def test_boundary_configs_accepted(self):
+        SyntheticConfig(speed_range=(10.0, 10.0), gps_noise_std=0.0,
+                        trajectories_per_driver=1)
 
 
 class TestPresets:

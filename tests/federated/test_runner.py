@@ -28,6 +28,8 @@ from repro.federated import (
     build_federation,
 )
 
+from repro.federated.runner import _bundled_openblas
+
 HAVE_FORK = "fork" in mp.get_all_start_methods()
 needs_fork = pytest.mark.skipif(
     not HAVE_FORK, reason="no fork start method on this platform"
@@ -42,6 +44,10 @@ def federation(tiny_world):
 @pytest.fixture(scope="module")
 def mask(tiny_world):
     return ConstraintMaskBuilder(tiny_world.network, radius=400.0)
+
+
+def _worker_blas_threads() -> int:
+    return _bundled_openblas().scipy_openblas_get_num_threads64_()
 
 
 def lte_factory(config):
@@ -230,6 +236,22 @@ class TestRunnerUnits:
                                    fed_config(), global_test, seed=0)
         # In-process execution through the arena is the workers=0 default.
         assert isinstance(trainer._get_runner(), ArenaRunner)
+
+    @needs_fork
+    @pytest.mark.skipif(_bundled_openblas() is None,
+                        reason="NumPy has no bundled scipy-openblas to pin")
+    def test_pool_workers_pin_blas_to_one_thread(self, federation, mask,
+                                                 tiny_config):
+        clients, global_test = federation
+        trainer = FederatedTrainer(lte_factory(tiny_config), clients, mask,
+                                   fed_config(), global_test, seed=0)
+        runner = ProcessPoolRunner(trainer._worker_setup(), workers=2)
+        try:
+            pool = runner._ensure_pool()
+            threads = [pool.submit(_worker_blas_threads) for _ in range(4)]
+            assert [f.result(timeout=60) for f in threads] == [1, 1, 1, 1]
+        finally:
+            runner.close()
 
     @needs_fork
     def test_workers_capped_at_client_count(self, federation, mask,
