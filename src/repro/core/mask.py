@@ -39,6 +39,8 @@ get a uniform mask) without touching inactive entries.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..data.dataset import Batch
@@ -109,7 +111,7 @@ class SparseConstraintMask:
     @classmethod
     def identity_mask(cls, shape: tuple[int, ...]) -> "SparseConstraintMask":
         """The disabled-mask representation (all-zero log weights)."""
-        rows = int(np.prod(shape[:-1]))
+        rows = int(math.prod(shape[:-1]))
         return cls(shape, np.zeros(rows + 1, dtype=np.int64),
                    np.empty(0, dtype=np.int64),
                    np.empty(0, dtype=get_compute_dtype()), floor=0.0,
@@ -117,7 +119,7 @@ class SparseConstraintMask:
 
     @property
     def n_rows(self) -> int:
-        return int(np.prod(self.shape[:-1]))
+        return int(math.prod(self.shape[:-1]))
 
     @property
     def nnz(self) -> int:
@@ -162,6 +164,20 @@ class SparseConstraintMask:
         indptr, pos = _gather_csr(self.indptr[flat_rows], lens)
         return SparseConstraintMask((flat_rows.size, s), indptr,
                                     self.indices[pos], self.log_values[pos],
+                                    floor=self.floor)
+
+    def row_slice(self, lo: int, hi: int) -> "SparseConstraintMask":
+        """The ``(hi - lo, S)`` mask of flattened rows ``lo`` to ``hi``:
+        :meth:`take` of ``np.arange(lo, hi)`` without the gather (the
+        index and value arrays are views, ``indptr`` is rebased)."""
+        s = self.shape[-1]
+        if self.identity:
+            return SparseConstraintMask.identity_mask((hi - lo, s))
+        indptr = self.indptr[lo:hi + 1] - self.indptr[lo]
+        start, end = int(self.indptr[lo]), int(self.indptr[hi])
+        return SparseConstraintMask((hi - lo, s), indptr,
+                                    self.indices[start:end],
+                                    self.log_values[start:end],
                                     floor=self.floor)
 
     @staticmethod

@@ -83,16 +83,12 @@ class TrajectoryRecovery:
         batch = dataset.full_batch()
         segments, ratios = self.predict_batch(batch, decode_batch=decode_batch)
         results = []
-        for i, example in enumerate(dataset.examples):
-            n = example.full_length
+        for example, segment_row, ratio_row in zip(
+                dataset.examples, segments.tolist(), ratios.tolist()):
             points = tuple(
-                MatchedPoint(
-                    segment_id=int(segments[i, j]),
-                    ratio=float(ratios[i, j]),
-                    t=j * epsilon,
-                    tid=j,
-                )
-                for j in range(n)
+                MatchedPoint(segment_id, ratio, j * epsilon, j)
+                for j, segment_id, ratio in zip(
+                    range(example.full_length), segment_row, ratio_row)
             )
             recovered = MatchedTrajectory(
                 traj_id=example.traj_id,
@@ -100,7 +96,7 @@ class TrajectoryRecovery:
                 epsilon=epsilon,
                 points=points,
             )
-            missing = tuple(int(j) for j in np.flatnonzero(~example.observed_flags))
+            missing = tuple(np.flatnonzero(~example.observed_flags).tolist())
             results.append(RecoveredTrajectory(
                 trajectory=recovered, traj_id=example.traj_id,
                 recovered_indices=missing,

@@ -8,10 +8,21 @@ timestep.  The padded decode paths step **every** batch row for
 trajectories into one batched stepping loop with **active-row
 compaction**: rows whose trajectory is finished are dropped from the
 working set at the step where they finish, every kernel in the step
-(recurrent cells, heads, constraint-mask slicing, masked log-softmax)
-runs over the compacted rows only, and the per-step outputs are
-re-scattered into their original positions at the end.  Decode cost
-then scales with the number of *unfinished* rows per step.
+(recurrent cells, heads, masked log-softmax) runs over the unfinished
+rows only, and the outputs are scattered into their original positions.
+Decode cost then scales with the number of *unfinished* rows per step.
+
+A fixed working set runs as a **time-major plan**.  Its rows are sorted
+once by decreasing length (stable), so the rows still decoding at step
+``t`` are a prefix and compaction is a truncation of the state and the
+fed-back arrays.  Plan entry ``offsets[t] + i`` is sorted row ``i`` at
+step ``t``: the step constants (auxiliary features and the constraint
+mask) are gathered in that order once per block of steps (at most
+``_BLOCK_ROWS`` row-steps, so the extra memory is a block, not the
+batch), and each step reads contiguous slices of its block.  The
+observed flags and targets are gathered in plan order once; segments
+and ratios are written in plan order and scattered once at the end;
+log-probabilities go straight into the ``(B, T, S)`` output.
 
 The engine is model-agnostic: it drives a **decode program** — an
 adapter each recovery model builds via
@@ -23,30 +34,34 @@ duck-typed protocol:
 ``initial_state()``
     The per-row decoder state for all ``num_rows`` rows.  Must be safe
     to reuse across :meth:`DecodeSession.run` calls (the engine never
-    mutates it; ``advance`` returns fresh state).
+    mutates it; ``advance_on`` returns fresh state).
 ``select_rows(state, keep)``
-    The state compacted to positions ``keep`` of the current working
-    set (a pure gather).
-``advance(state, rows, t, prev_segments, prev_ratios)``
-    Advance one step over the compacted working set (``rows`` holds the
-    original batch-row ids, for slicing per-row constants such as the
-    constraint mask and auxiliary features) and return
-    ``(next_state, log_probs)`` with ``log_probs`` of shape ``(A, S)``.
+    The state at positions ``keep`` (an index array, or a prefix
+    ``slice``) of the current working set.
+``row_tables()`` / ``constants_at(tables, flat_rows)``
+    The per-row-step constants as flat tables over the program's
+    ``B * T`` row-steps (row ``b * T + t``), and their gather at any
+    row-steps: a tuple of arrays and CSR masks, each sliced by rows.
+``advance_on(state, constants, prev_segments, prev_ratios)``
+    Advance one step over the working set on its gathered constants and
+    return ``(next_state, log_probs)`` with ``log_probs`` of shape
+    ``(A, S)``.
 ``emit(state, segments)``
     The moving ratios ``(A,)`` for the segments the emission policy
     chose.
 
 Choosing the emitted segment is delegated to a pluggable
 :class:`EmissionPolicy` (greedy argmax today; the split
-``advance``/``emit`` protocol is exactly the seam a beam policy needs —
-score all hypotheses, then emit ratios for the survivors).
+``advance_on``/``emit`` protocol is exactly the seam a beam policy
+needs — score all hypotheses, then emit ratios for the survivors).
 
 Determinism contract
 --------------------
-Compaction only ever *removes* rows from the batched kernels; every
-operation in a decode step is row-local, so the surviving rows compute
-the same values they would inside the full batch.  Two BLAS caveats
-are handled explicitly:
+Compaction only ever *removes* rows from the batched kernels, and
+sorting only *reorders* them inside a fixed-set working set; every
+operation in a decode step is row-local, so each row computes the same
+values it would inside the full batch.  Two BLAS caveats are handled
+explicitly:
 
 * single-output matmuls (``(M, K) @ (K, 1)`` — ratio heads, attention
   energies) dispatch to GEMV kernels whose accumulation blocking
@@ -54,8 +69,9 @@ are handled explicitly:
   packing-stable :func:`repro.nn.row_dot` reduction instead;
 * a single-row working set dispatches *every* matmul to GEMV, so when
   compaction would shrink a multi-row working set to exactly one row
-  the engine carries one finished row along as inert ballast (its
-  outputs are discarded) and the live row keeps its GEMM bit-pattern.
+  the engine carries the next (finished) row along as inert ballast
+  (its outputs are discarded) and the live row keeps its GEMM
+  bit-pattern.
 
 Packed output is therefore **bit-identical** to the padded full-length
 engine decode on every valid timestep, for any working set — including
@@ -63,11 +79,17 @@ one-row working sets (``decode_batch=1``, one-trajectory request
 batches): a working set that *starts* at exactly one row carries a
 duplicate of that row as inert **self-ballast**, so the live row runs
 the same GEMM kernels (and therefore the same bit patterns) as inside
-any larger packed batch.  Historically one-row sets ran GEMV kernels
-and only promised argmax identity + 1e-10 values; the self-ballast
-upgrade makes the one-row case bitwise too, which is what lets the
-continuous-batching scheduler (:mod:`repro.serving.scheduler`) prove
-solo-vs-batched *equality* rather than closeness.
+any larger packed batch.  That is what lets the continuous-batching
+scheduler (:mod:`repro.serving.scheduler`) prove solo-vs-batched
+*equality* rather than closeness.
+
+One gap is known: OpenBLAS runs small GEMMs (``M * N * K`` up to
+``1e6``) on a separate kernel, and above that size a row's last
+``N mod 8`` output columns can depend on its position.  A working set
+wide enough for its segment head to cross that size (about 300 rows at
+``H = 16``, ``S = 206``) can therefore move a log-probability by an ULP
+with the row order; segments and ratios did not move in any measured
+case (``tests/serving/test_decode_plan.py``).
 
 Live admission
 --------------
@@ -84,6 +106,7 @@ shares the working set or when it was admitted.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,6 +115,19 @@ from ..nn.dtypes import get_compute_dtype
 
 __all__ = ["EmissionPolicy", "GreedyEmission", "PackedDecodeResult",
            "DecodeSession", "LiveDecodeSet", "LiveDecodeResult", "MuxError"]
+
+#: Row-steps of constants :meth:`DecodeSession.run` gathers at once: a
+#: working set's steps are cut into blocks of at most this many computed
+#: rows (at least one step each), which bounds the plan's extra memory.
+_BLOCK_ROWS = 1024
+
+
+def _row_range(part, lo: int, hi: int):
+    """Rows ``lo`` to ``hi`` of a gathered constant: a view of an array,
+    a ``row_slice`` of a CSR mask."""
+    if isinstance(part, np.ndarray):
+        return part[lo:hi]
+    return part.row_slice(lo, hi)
 
 
 class EmissionPolicy:
@@ -102,7 +138,7 @@ class EmissionPolicy:
     are stateless with respect to the engine loop: richer policies
     (e.g. beam search) would subclass :class:`DecodeSession` to expand
     the working set per hypothesis, but reuse this same scoring seam —
-    the engine already separates scoring (``advance``) from emission
+    the engine already separates scoring (``advance_on``) from emission
     (``emit``), so a policy never has to re-run the decoder to change
     what is emitted.
 
@@ -110,10 +146,12 @@ class EmissionPolicy:
     --------------------
     A policy that keeps per-row state (a beam policy's per-row beam
     sets, a top-k sampler's per-row RNG lanes) tracks the working set
-    through two hooks the engine calls at every membership change:
-    :meth:`extend` when rows are admitted (appended at the end of the
-    working set, in admission order) and :meth:`compact` when finished
-    rows retire (``keep`` holds the surviving positions, in order).
+    through two hooks both engine loops call at every membership change:
+    :meth:`extend` when rows join (appended at the end of the working
+    set, in admission order; a fixed set joins once, with its rows that
+    decode at all) and :meth:`compact` when finished rows retire
+    (``keep`` holds the surviving positions, in order; a fixed set
+    keeps a prefix of its length-sorted rows and ends empty).
     Both default to no-ops — greedy emission is stateless.  ``select``
     may additionally see **one trailing ballast row** beyond the
     tracked working set (the BLAS guard); its emission is discarded, so
@@ -243,62 +281,85 @@ class DecodeSession:
     def _run_rows(self, program, state0, batch, lengths: np.ndarray,
                   rows: np.ndarray, log_probs: np.ndarray, ratios: np.ndarray,
                   segments: np.ndarray) -> int:
-        if rows.size == 1:
+        # Sort once, by decreasing length (stable): the rows still
+        # decoding at step t are then the prefix ``order[:live[t]]``.
+        order = rows[np.argsort(-lengths[rows], kind="stable")]
+        ordered = lengths[order]
+        if order.size == 1:
             # Self-ballast: a one-row working set would dispatch every
             # matmul to GEMV kernels whose bit-patterns differ from the
             # GEMM ones that packed multi-row sets run.  Carrying an
-            # inert duplicate of the row keeps the live row on the GEMM
-            # kernels, making one-row decodes bit-identical to the same
-            # row inside any packed working set.
-            rows = np.concatenate([rows, rows])
-            state = program.select_rows(state0, rows)
-            live = np.array([True, False])
-        elif rows.size == program.num_rows:
-            state = state0  # whole batch: reuse the program's state as-is
-            live = np.ones(rows.size, dtype=bool)
-        else:
-            state = program.select_rows(state0, rows)
-            live = np.ones(rows.size, dtype=bool)
-        prev_segments = batch.tgt_segments[rows, 0].copy()
-        prev_ratios = batch.tgt_ratios[rows, 0].copy()
-        horizon = int(lengths[rows].max(initial=0))
-        work = 0
+            # inert duplicate of the row (length 0: it emits nothing)
+            # keeps the live row on the GEMM kernels, making one-row
+            # decodes bit-identical to the same row inside any packed
+            # working set.
+            order = np.concatenate([order, order])
+            ordered = np.array([ordered[0], 0], dtype=np.int64)
+        horizon = int(ordered.max(initial=0))
+        if horizon == 0:
+            return 0
+        live = order.size - np.cumsum(np.bincount(ordered))[:horizon]
+        # BLAS guard: a sole live row carries the next (finished) row
+        # along as ballast, so no step runs a one-row GEMV.
+        width = np.maximum(live, 2)
+        offsets = np.zeros(horizon + 1, dtype=np.int64)
+        np.cumsum(width, out=offsets[1:])
+        ballast = offsets[:-1][live == 1] + 1  # plan entries that emit nothing
+        # The time-major plan: entry ``offsets[t] + i`` is row
+        # ``order[i]`` at step ``t``; constants, feedback and outputs
+        # are laid out the same way.
+        step_of = np.repeat(np.arange(horizon), width)
+        row_of = order[np.arange(offsets[-1]) - offsets[step_of]]
+        observed = batch.observed_flags[row_of, step_of]
+        tgt_segments = batch.tgt_segments[row_of, step_of]
+        tgt_ratios = batch.tgt_ratios[row_of, step_of]
+        out_segments = np.empty(offsets[-1], dtype=np.int64)
+        out_ratios = np.empty(offsets[-1], dtype=ratios.dtype)
+
+        state = program.select_rows(state0, order)
+        prev_segments = batch.tgt_segments[order, 0]
+        prev_ratios = batch.tgt_ratios[order, 0]
+        tables = program.row_tables()
+        bounds, live, width = offsets.tolist(), live.tolist(), width.tolist()
+        self.policy.extend(live[0])
+        block_end = 0
         for t in range(horizon):
-            alive = live & (lengths[rows] > t)
-            if not np.array_equal(alive, live):  # a row just finished
-                keep = np.flatnonzero(alive)
-                if keep.size == 0:
-                    break
-                if keep.size == 1 and rows.size >= 2:
-                    # BLAS guard: a 1-row working set would hit GEMV
-                    # kernels whose bit-patterns differ from GEMM; carry
-                    # one finished row as ballast instead.
-                    keep = np.concatenate(
-                        [keep, np.flatnonzero(~alive)[:1]])
-                rows = rows[keep]
-                live = alive[keep]
-                state = program.select_rows(state, keep)
-                prev_segments = prev_segments[keep]
-                prev_ratios = prev_ratios[keep]
-            state, step_logs = program.advance(state, rows, t, prev_segments,
-                                               prev_ratios)
+            lo, hi, n = bounds[t], bounds[t + 1], width[t]
+            if t == block_end:  # gather the next block's step constants
+                block_start = lo
+                block_end = max(t + 1, bisect.bisect_right(
+                    bounds, lo + _BLOCK_ROWS) - 1)
+                span = slice(lo, bounds[block_end])
+                block = program.constants_at(
+                    tables, row_of[span] * program.num_steps + step_of[span])
+            if n < len(prev_segments):  # rows finished: keep the prefix
+                state = program.select_rows(state, slice(n))
+                prev_segments, prev_ratios = prev_segments[:n], prev_ratios[:n]
+            if t and live[t] < live[t - 1]:
+                self.policy.compact(np.arange(live[t]))
+            constants = tuple(
+                _row_range(part, lo - block_start, hi - block_start)
+                for part in block)
+            state, step_logs = program.advance_on(state, constants,
+                                                  prev_segments, prev_ratios)
             step_segments = self.policy.select(step_logs)
             step_ratios = program.emit(state, step_segments)
-            work += rows.size
-
-            out = rows[live]
-            log_probs[out, t] = step_logs[live]
-            segments[out, t] = step_segments[live]
-            ratios[out, t] = step_ratios[live]
-
+            log_probs[order[:live[t]], t] = step_logs[:live[t]]
+            del step_logs  # free it before the next step's kernels run
+            out_segments[lo:hi] = step_segments
+            out_ratios[lo:hi] = step_ratios
             # Autoregressive feedback: observed points are inputs, not
             # predictions — clamp them to their known values.
-            observed = batch.observed_flags[rows, t]
-            prev_segments = np.where(observed, batch.tgt_segments[rows, t],
-                                      step_segments)
-            prev_ratios = np.where(observed, batch.tgt_ratios[rows, t],
-                                    np.clip(step_ratios, 0.0, 1.0))
-        return work
+            clamp = observed[lo:hi]
+            prev_segments = np.where(clamp, tgt_segments[lo:hi], step_segments)
+            prev_ratios = np.where(clamp, tgt_ratios[lo:hi],
+                                   np.clip(step_ratios, 0.0, 1.0))
+        self.policy.compact(np.arange(0))
+        emitted = np.ones(offsets[-1], dtype=bool)
+        emitted[ballast] = False
+        segments[row_of[emitted], step_of[emitted]] = out_segments[emitted]
+        ratios[row_of[emitted], step_of[emitted]] = out_ratios[emitted]
+        return bounds[-1]
 
 
 class MuxError(ValueError):

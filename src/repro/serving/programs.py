@@ -21,16 +21,18 @@ near-duplicate per-model inference loops:
 Every step mirrors the corresponding tape path operation by operation
 (same expressions, same association), so packed decode reproduces the
 per-row bit patterns of the padded loops; all state is kept as raw
-arrays and ``select_rows`` is a pure gather, which is what makes
-active-row compaction cheap.
+arrays and ``select_rows`` is pure indexing (a prefix slice is a view),
+which is what makes active-row compaction cheap.
 
 Mux protocol (live admission)
 -----------------------------
-On top of the stepping protocol every program implements the *mux*
-extension :class:`~repro.serving.LiveDecodeSet` drives.  It factors
-``advance`` into a gather of per-row constants and a pure batched step,
-so rows from **different** programs (different requests, different
-padded widths) share one kernel pass:
+The stepping protocol already factors a step into a gather of per-row
+constants (``row_tables`` / ``constants_at``) and a pure batched step
+(``advance_on``), so rows from **different** programs (different
+requests, different padded widths) can share one kernel pass.  The
+live set (:class:`~repro.serving.LiveDecodeSet`) appends each
+admission's ``row_tables()`` to its own tables once and gathers every
+live row's constants from them; what it needs on top is
 
 ``mux_key()``
     Hashable compatibility key.  Two programs may be joined iff their
@@ -38,20 +40,10 @@ padded widths) share one kernel pass:
     identity — one frozen model per live set), same per-row state
     geometry (e.g. the attention programs' encoder width ``To``), and
     the same mask representation.
-``row_tables()``
-    The per-row-step constants as flat tables over the program's
-    ``B * T`` row-steps (row ``b * T + t``): the auxiliary step features
-    and the constraint mask.  The live set appends them to its own
-    tables once, at admission.
-``constants_at(tables, flat_rows)``
-    The step constants of any row-steps of (joined) tables: one feature
-    gather and one mask gather.
-``advance_on(state, constants, prev_segments, prev_ratios)``
-    The batched step on gathered constants; ``advance`` is
-    ``advance_on`` on the program's own tables, so the joined step runs
-    the exact expressions of every solo step (all step math is batched
-    GEMM + row-local elementwise).  State ``arrays`` are per-row, so
-    the live set joins and compacts them row-wise.
+
+The joined step runs the exact expressions of every solo step (all step
+math is batched GEMM + row-local elementwise), and state ``arrays`` are
+per-row, so the live set joins and compacts them row-wise.
 """
 
 from __future__ import annotations
@@ -126,7 +118,7 @@ class _Program:
             log_mask = log_mask.reshape(-1, log_mask.shape[-1])
         self._tables = (extras.reshape(-1, extras.shape[-1]), log_mask)
 
-    def select_rows(self, state: _State, keep: np.ndarray) -> _State:
+    def select_rows(self, state: _State, keep) -> _State:
         return _State([a[keep] for a in state.arrays])
 
     def mux_key(self) -> tuple:
@@ -139,12 +131,6 @@ class _Program:
     def constants_at(tables: tuple, flat_rows: np.ndarray) -> tuple:
         extras, mask = tables
         return (extras[flat_rows], _mask_rows(mask, flat_rows))
-
-    def advance(self, state: _State, rows: np.ndarray, t: int,
-                prev_segments: np.ndarray, prev_ratios: np.ndarray
-                ) -> tuple[_State, np.ndarray]:
-        constants = self.constants_at(self._tables, rows * self.num_steps + t)
-        return self.advance_on(state, constants, prev_segments, prev_ratios)
 
 
 class STDecodeProgram(_Program):

@@ -23,7 +23,11 @@ The other two oracles need no patching: the dense constraint mask is
 ``tests/core/test_sparse_mask.py``), and the padded full-length decode
 is a direct ``model(batch, log_mask, teacher_forcing=False)`` under
 ``no_grad`` (packed == padded bitwise on valid steps:
-``tests/serving/test_decode_session.py``).
+``tests/serving/test_decode_session.py``).  At the program level the
+padded decode is :func:`padded_decode`: every row of one working set
+stepped for the full horizon, no sorting, no compaction, no blocks —
+the oracle of the engine's time-major plan
+(``tests/serving/test_decode_plan.py``).
 
 Lives next to ``index_oracle.py`` so every test directory (and the
 slow hot-path benchmark, which appends this directory to ``sys.path``)
@@ -38,12 +42,13 @@ import numpy as np
 
 from repro.core.lte import LTEModel
 from repro.core.mask import SparseConstraintMask
+from repro.nn.dtypes import get_compute_dtype
 from repro.nn import loss as loss_module
 from repro.nn.functional import stack
 from repro.nn.layers import Linear
 from repro.nn.recurrent import _SequenceRNN
 
-__all__ = ["reference_kernels"]
+__all__ = ["reference_kernels", "padded_decode"]
 
 
 def _sequence_forward_stepwise(self, x, h0=None, mask=None):
@@ -121,3 +126,43 @@ def reference_kernels(enabled: bool = True):
     finally:
         for owner, name, original in saved:
             setattr(owner, name, original)
+
+
+def padded_decode(program, batch, lengths) -> tuple:
+    """Greedy decode of every row of ``program`` for all ``num_steps``
+    steps in one working set; returns ``(log_probs, ratios, segments)``
+    zeroed beyond each row's length, the layout of
+    :class:`repro.serving.PackedDecodeResult`.
+
+    A one-row program runs with a duplicate of its row (the engine's
+    self-ballast), so every step is a GEMM over at least two rows.
+    """
+    b, steps = program.num_rows, program.num_steps
+    rows = np.arange(max(b, 2)) % b
+    state = program.select_rows(program.initial_state(), rows)
+    prev_segments = batch.tgt_segments[rows, 0]
+    prev_ratios = batch.tgt_ratios[rows, 0]
+    dtype = get_compute_dtype()
+    log_probs = np.zeros((b, steps, program.num_classes), dtype=dtype)
+    ratios = np.zeros((b, steps), dtype=dtype)
+    segments = np.zeros((b, steps), dtype=np.int64)
+    for t in range(steps):
+        constants = program.constants_at(program.row_tables(),
+                                         rows * steps + t)
+        state, step_logs = program.advance_on(state, constants,
+                                              prev_segments, prev_ratios)
+        step_segments = np.argmax(step_logs, axis=-1).astype(np.int64)
+        step_ratios = program.emit(state, step_segments)
+        log_probs[:, t] = step_logs[:b]
+        segments[:, t] = step_segments[:b]
+        ratios[:, t] = step_ratios[:b]
+        observed = batch.observed_flags[rows, t]
+        prev_segments = np.where(observed, batch.tgt_segments[rows, t],
+                                 step_segments)
+        prev_ratios = np.where(observed, batch.tgt_ratios[rows, t],
+                               np.clip(step_ratios, 0.0, 1.0))
+    padding = np.arange(steps) >= np.asarray(lengths)[:, None]
+    log_probs[padding] = 0.0
+    ratios[padding] = 0.0
+    segments[padding] = 0
+    return log_probs, ratios, segments
