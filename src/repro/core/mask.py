@@ -62,6 +62,13 @@ _FLOOR_LOG = -30.0
 _QUANT = 25.0
 
 
+def _encode(kx: np.ndarray, ky: np.ndarray) -> np.ndarray:
+    """One int64 per quantised key, ordered like the ``(kx, ky)`` tuples;
+    injective for ``|k| < 2**31`` (coordinates within ~5e10 m of the
+    origin)."""
+    return kx * (np.int64(1) << 32) + ky
+
+
 def _gather_csr(starts: np.ndarray, lens: np.ndarray
                 ) -> tuple[np.ndarray, np.ndarray]:
     """CSR assembly for rows stored as pool slices.
@@ -88,19 +95,32 @@ class SparseConstraintMask:
     decode step).  ``identity=True`` marks a disabled mask (dense
     equivalent: all-zero log weights) — consumers fall back to a plain
     log-softmax and the CSR arrays are empty.
+
+    ``layout`` is the optional *step layout* of a gathered mask whose
+    rows are all non-empty: ``(flat, counts)``, where ``flat[k]`` is
+    entry ``k``'s position ``row * S + index`` in the flattened
+    ``(R, S)`` logits and ``counts`` holds the row lengths.  :meth:`take`
+    records it (and :meth:`row_slice` carries it) so the inference
+    log-softmax runs flat take/put and ``reduceat`` slices instead of
+    re-deriving each entry's row every decode step.  Masks with an
+    empty row, identity masks and :meth:`ConstraintMaskBuilder.build_sparse`
+    outputs carry ``None``.
     """
 
-    __slots__ = ("shape", "indptr", "indices", "log_values", "floor", "identity")
+    __slots__ = ("shape", "indptr", "indices", "log_values", "floor",
+                 "identity", "layout")
 
     def __init__(self, shape: tuple[int, ...], indptr: np.ndarray,
                  indices: np.ndarray, log_values: np.ndarray,
-                 floor: float = _FLOOR_LOG, identity: bool = False):
+                 floor: float = _FLOOR_LOG, identity: bool = False,
+                 layout: tuple[np.ndarray, np.ndarray] | None = None):
         self.shape = tuple(shape)
         self.indptr = indptr
         self.indices = indices
         self.log_values = log_values
         self.floor = floor
         self.identity = identity
+        self.layout = layout
         rows = self.n_rows
         if indptr.shape != (rows + 1,):
             raise ValueError(
@@ -156,29 +176,43 @@ class SparseConstraintMask:
 
     def take(self, flat_rows: np.ndarray) -> "SparseConstraintMask":
         """The ``(len(flat_rows), S)`` mask of the given flattened rows,
-        in order (row ``b * T + t`` of a ``(B, T, S)`` mask)."""
+        in order (row ``b * T + t`` of a ``(B, T, S)`` mask), with its
+        step layout when every gathered row is non-empty."""
         s = self.shape[-1]
+        n = flat_rows.size
         if self.identity:
-            return SparseConstraintMask.identity_mask((flat_rows.size, s))
-        lens = self.indptr[flat_rows + 1] - self.indptr[flat_rows]
-        indptr, pos = _gather_csr(self.indptr[flat_rows], lens)
-        return SparseConstraintMask((flat_rows.size, s), indptr,
-                                    self.indices[pos], self.log_values[pos],
-                                    floor=self.floor)
+            return SparseConstraintMask.identity_mask((n, s))
+        starts = self.indptr[flat_rows]
+        lens = self.indptr[flat_rows + 1] - starts
+        indptr, pos = _gather_csr(starts, lens)
+        indices = self.indices[pos]
+        layout = None
+        if lens.all():
+            flat = np.repeat(np.arange(0, n * s, s, dtype=np.int64), lens)
+            flat += indices
+            layout = (flat, lens)
+        return SparseConstraintMask((n, s), indptr, indices,
+                                    self.log_values[pos], floor=self.floor,
+                                    layout=layout)
 
     def row_slice(self, lo: int, hi: int) -> "SparseConstraintMask":
         """The ``(hi - lo, S)`` mask of flattened rows ``lo`` to ``hi``:
         :meth:`take` of ``np.arange(lo, hi)`` without the gather (the
-        index and value arrays are views, ``indptr`` is rebased)."""
+        index and value arrays are views, ``indptr`` is rebased, and a
+        step layout is carried over rebased to row ``lo``)."""
         s = self.shape[-1]
         if self.identity:
             return SparseConstraintMask.identity_mask((hi - lo, s))
         indptr = self.indptr[lo:hi + 1] - self.indptr[lo]
         start, end = int(self.indptr[lo]), int(self.indptr[hi])
+        layout = None
+        if self.layout is not None:
+            flat, counts = self.layout
+            layout = (flat[start:end] - lo * s, counts[lo:hi])
         return SparseConstraintMask((hi - lo, s), indptr,
                                     self.indices[start:end],
                                     self.log_values[start:end],
-                                    floor=self.floor)
+                                    floor=self.floor, layout=layout)
 
     @staticmethod
     def extend_rows(table, used: int,
@@ -259,8 +293,10 @@ class ConstraintMaskBuilder:
         self.index = index if index is not None else SegmentIndex(network)
         # Sparse row pool — the source of truth.  Row i (the i-th key
         # ever registered) owns _sp_indices[_sp_starts[i] : + _sp_lens[i]]
-        # and the matching _sp_values slice.
+        # and the matching _sp_values slice; _sp_keys[i] is its encoded
+        # key.
         self._key_to_row: dict[tuple[int, int], int] = {}
+        self._sp_keys = np.empty(0, dtype=np.int64)
         self._sp_starts = np.empty(0, dtype=np.int64)
         self._sp_lens = np.empty(0, dtype=np.int64)
         self._sp_indices = np.empty(0, dtype=np.int64)
@@ -273,6 +309,7 @@ class ConstraintMaskBuilder:
         self._sp_cast_used = 0
         # Sorted encoded-key index for vectorized batch lookups: once a
         # batch's keys are all known, building is pure searchsorted+gather.
+        # It covers pool rows [0, _enc_rows.size).
         self._enc_sorted = np.empty(0, dtype=np.int64)
         self._enc_rows = np.empty(0, dtype=np.int64)
         # Dense mirrors, densified lazily from the pool: the (U, S) row
@@ -337,7 +374,8 @@ class ConstraintMaskBuilder:
         keys = [key for key in keys if key not in self._key_to_row]
         if not keys:
             return
-        centres = (np.array(keys, dtype=np.int64) + 0.5) * _QUANT
+        quantised = np.array(keys, dtype=np.int64)
+        centres = (quantised + 0.5) * _QUANT
         indptr, ids, dists = self.index.query(centres, self.radius)
         inv_gamma_sq = 1.0 / (self.gamma * self.gamma)
         values = np.maximum(_FLOOR_LOG, -(dists * dists) * inv_gamma_sq)
@@ -350,6 +388,7 @@ class ConstraintMaskBuilder:
         # 1024 * 2**k (entries) that holds them.
         if rows_needed > self._sp_starts.size:
             capacity = 64 << ((rows_needed - 1) // 64).bit_length()
+            self._sp_keys = np.resize(self._sp_keys, capacity)
             self._sp_starts = np.resize(self._sp_starts, capacity)
             self._sp_lens = np.resize(self._sp_lens, capacity)
         needed = self._sp_used + ids.size
@@ -363,6 +402,8 @@ class ConstraintMaskBuilder:
             self._sp_values = grown_val
         self._sp_indices[self._sp_used:needed] = ids[order]
         self._sp_values[self._sp_used:needed] = values[order]
+        self._sp_keys[first:rows_needed] = _encode(quantised[:, 0],
+                                                   quantised[:, 1])
         self._sp_starts[first:rows_needed] = self._sp_used + indptr[:-1]
         self._sp_lens[first:rows_needed] = lens
         self._sp_used = needed
@@ -418,8 +459,7 @@ class ConstraintMaskBuilder:
         quantised = np.floor_divide(batch.guide_xy, _QUANT).astype(np.int64)
         kx = quantised[..., 0].reshape(-1)
         ky = quantised[..., 1].reshape(-1)
-        # Injective for |k| < 2^31 (coordinates within ~5e10 m of origin).
-        encoded = kx * (np.int64(1) << 32) + ky
+        encoded = _encode(kx, ky)
         position, hit = self._locate(encoded)
         if not hit.all():
             # Some keys are new: compute each distinct missing key's row
@@ -509,18 +549,19 @@ class ConstraintMaskBuilder:
         return position, self._enc_sorted[position] == encoded
 
     def _refresh_sorted_index(self) -> None:
-        """Rebuild the sorted encoded-key arrays from the key dict."""
-        if not self._key_to_row:
-            self._enc_sorted = np.empty(0, dtype=np.int64)
-            self._enc_rows = np.empty(0, dtype=np.int64)
+        """Re-sort the encoded-key index over every registered pool row.
+
+        Row ``i``'s key is ``_sp_keys[i]``, so the argsort order of the
+        registered prefix *is* the sorted rows array.  A no-op (the same
+        array objects survive) when no key was registered since the
+        last refresh.
+        """
+        n = len(self._key_to_row)
+        if self._enc_rows.size == n:
             return
-        keys = np.array([k[0] * (1 << 32) + k[1] for k in self._key_to_row],
-                        dtype=np.int64)
-        rows = np.fromiter(self._key_to_row.values(), dtype=np.int64,
-                           count=len(self._key_to_row))
-        order = np.argsort(keys)
-        self._enc_sorted = keys[order]
-        self._enc_rows = rows[order]
+        keys = self._sp_keys[:n]
+        self._enc_rows = np.argsort(keys)
+        self._enc_sorted = keys[self._enc_rows]
 
     def build_reference(self, batch: Batch) -> np.ndarray:
         """Per-point reference build (the pre-vectorization path).
@@ -542,6 +583,7 @@ class ConstraintMaskBuilder:
         """Drop memoised masks (tests / after changing parameters)."""
         self._cache.clear()
         self._key_to_row.clear()
+        self._sp_keys = np.empty(0, dtype=np.int64)
         self._sp_starts = np.empty(0, dtype=np.int64)
         self._sp_lens = np.empty(0, dtype=np.int64)
         self._sp_indices = np.empty(0, dtype=np.int64)

@@ -218,6 +218,11 @@ def _sparse_log_probs_core(x2: np.ndarray, smask, want_soft: bool):
     second element carries what the backward pass needs (softmax values
     at the active entries, and dense softmax rows for empty-set rows);
     ``soft_nz`` / ``soft_empty`` are ``None`` unless ``want_soft``.
+
+    Without ``want_soft``, a mask carrying a step ``layout`` (see
+    :class:`repro.core.mask.SparseConstraintMask`) takes the flat
+    inference leg: the same expressions on flat take/put positions, and
+    the second element is ``None``.
     """
     return call_kernel("sparse_log_probs", _sparse_log_probs_ref,
                        x2, smask, want_soft)
@@ -225,13 +230,16 @@ def _sparse_log_probs_core(x2: np.ndarray, smask, want_soft: bool):
 
 def _sparse_log_probs_ref(x2: np.ndarray, smask, want_soft: bool):
     """Reference CSR masked log-softmax (see :func:`_sparse_log_probs_core`)."""
+    log_values = smask.log_values
+    if log_values.dtype != x2.dtype:
+        log_values = log_values.astype(x2.dtype)
+    layout = getattr(smask, "layout", None)
+    if layout is not None and not want_soft:
+        return _flat_log_probs(x2, smask, log_values, *layout), None
     r, s = x2.shape
     indptr = smask.indptr
     lens = np.diff(indptr)
     nz_rows = np.repeat(np.arange(r), lens)
-    log_values = smask.log_values
-    if log_values.dtype != x2.dtype:
-        log_values = log_values.astype(x2.dtype)
     z_nz = x2[nz_rows, smask.indices] + log_values
     nonempty = lens > 0
     soft_nz = None
@@ -268,6 +276,27 @@ def _sparse_log_probs_ref(x2: np.ndarray, smask, want_soft: bool):
     out = x2 + adjust[:, None]
     out[nz_rows, smask.indices] = z_nz - log_z[nz_rows]
     return out, (nz_rows, soft_nz, empty, soft_empty)
+
+
+def _flat_log_probs(x2: np.ndarray, smask, log_values: np.ndarray,
+                    flat: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Inference leg of :func:`_sparse_log_probs_ref` for a mask with a
+    step layout (every row non-empty): entry ``k`` sits at flat
+    position ``flat[k]`` of ``x2`` and row ``r`` owns ``counts[r]``
+    entries, so no per-row bookkeeping is re-derived.  Bit-identical
+    to the row-indexed leg."""
+    starts = smask.indptr[:-1]
+    z_nz = x2.take(flat) + log_values
+    seg_max = np.maximum.reduceat(z_nz, starts)
+    e_nz = np.exp(z_nz - np.repeat(seg_max, counts))
+    seg_sum = np.add.reduceat(e_nz, starts, dtype=np.float64)
+    log_z = seg_max + np.log(seg_sum)  # float64, as in the row leg
+    adjust = smask.floor - log_z
+    if adjust.dtype != x2.dtype:
+        adjust = adjust.astype(x2.dtype)
+    out = np.add(x2, adjust[:, None], order="C")  # ravel() must be a view
+    out.ravel()[flat] = z_nz - np.repeat(log_z, counts)
+    return out
 
 
 def _sparse_masked_log_softmax(x: Tensor, smask, axis: int) -> Tensor:

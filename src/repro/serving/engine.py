@@ -173,7 +173,7 @@ class GreedyEmission(EmissionPolicy):
     """Argmax emission — the paper's decode rule (Eq. 11)."""
 
     def select(self, log_probs: np.ndarray) -> np.ndarray:
-        return np.argmax(log_probs, axis=-1).astype(np.int64)
+        return np.argmax(log_probs, axis=-1).astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True)

@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,6 +88,11 @@ class ServingFlags:
             exchange_dtype=np.dtype(nn.get_default_dtype()).name,
             compute_dtype=np.dtype(nn.get_compute_dtype()).name,
         )
+
+    def is_ambient(self) -> bool:
+        """``self == ServingFlags.capture()``, without the snapshot."""
+        return (nn.get_compute_dtype() == self.compute_dtype
+                and nn.get_default_dtype() == self.exchange_dtype)
 
     @contextmanager
     def applied(self):
@@ -244,7 +249,11 @@ class ContinuousBatcher:
         self._expire_queued(outcomes)
         self._admit(outcomes)
         if not self._live.empty:
-            with self._live_flags.applied(), nn.no_grad():
+            # Re-assert the residents' dtypes only when the ambient ones
+            # differ (the common case needs no set/restore).
+            flags = (nullcontext() if self._live_flags.is_ambient()
+                     else self._live_flags.applied())
+            with flags, nn.no_grad():
                 finished = self._live.step()
             for live_result in finished:
                 request = self._by_live_handle.pop(live_result.handle)
