@@ -178,22 +178,31 @@ class SparseConstraintMask:
         """The ``(len(flat_rows), S)`` mask of the given flattened rows,
         in order (row ``b * T + t`` of a ``(B, T, S)`` mask), with its
         step layout when every gathered row is non-empty."""
+        mask, lens = self._gather(flat_rows)
+        if not mask.identity and lens.all():
+            s = self.shape[-1]
+            flat = np.repeat(np.arange(0, lens.size * s, s, dtype=np.int64),
+                             lens)
+            flat += mask.indices
+            mask.layout = (flat, lens)
+        return mask
+
+    def gather(self, flat_rows: np.ndarray) -> "SparseConstraintMask":
+        """:meth:`take` without the step layout, for a gathered mask that
+        is copied rather than decoded (the live set's table compaction)."""
+        return self._gather(flat_rows)[0]
+
+    def _gather(self, flat_rows: np.ndarray
+                ) -> tuple["SparseConstraintMask", np.ndarray | None]:
         s = self.shape[-1]
-        n = flat_rows.size
         if self.identity:
-            return SparseConstraintMask.identity_mask((n, s))
+            return SparseConstraintMask.identity_mask((flat_rows.size, s)), None
         starts = self.indptr[flat_rows]
         lens = self.indptr[flat_rows + 1] - starts
         indptr, pos = _gather_csr(starts, lens)
-        indices = self.indices[pos]
-        layout = None
-        if lens.all():
-            flat = np.repeat(np.arange(0, n * s, s, dtype=np.int64), lens)
-            flat += indices
-            layout = (flat, lens)
-        return SparseConstraintMask((n, s), indptr, indices,
-                                    self.log_values[pos], floor=self.floor,
-                                    layout=layout)
+        return SparseConstraintMask((flat_rows.size, s), indptr,
+                                    self.indices[pos], self.log_values[pos],
+                                    floor=self.floor), lens
 
     def row_slice(self, lo: int, hi: int) -> "SparseConstraintMask":
         """The ``(hi - lo, S)`` mask of flattened rows ``lo`` to ``hi``:

@@ -214,15 +214,18 @@ def _sparse_log_probs_core(x2: np.ndarray, smask, want_soft: bool):
     empty-radius fallback, where the dense mask is uniformly ``floor``)
     drop to a dense log-softmax over just those rows.
 
-    Returns ``(out, (nz_rows, soft_nz, empty, soft_empty))`` where the
-    second element carries what the backward pass needs (softmax values
-    at the active entries, and dense softmax rows for empty-set rows);
-    ``soft_nz`` / ``soft_empty`` are ``None`` unless ``want_soft``.
+    Entries are read and written at their flat positions
+    ``row * S + index`` in ``x2``.  Without ``want_soft``, a mask
+    carrying a step ``layout`` (see
+    :class:`repro.core.mask.SparseConstraintMask`) supplies those
+    positions and the row lengths, so no per-row bookkeeping is
+    re-derived each decode step.
 
-    Without ``want_soft``, a mask carrying a step ``layout`` (see
-    :class:`repro.core.mask.SparseConstraintMask`) takes the flat
-    inference leg: the same expressions on flat take/put positions, and
-    the second element is ``None``.
+    Returns ``(out, aux)``.  With ``want_soft``, ``aux`` is
+    ``(nz_rows, soft_nz, empty, soft_empty)``: what the backward pass
+    needs (each active entry's row and softmax value, and dense softmax
+    rows for empty-set rows, ``soft_empty`` ``None`` when there are
+    none); otherwise ``aux`` is ``None``.
     """
     return call_kernel("sparse_log_probs", _sparse_log_probs_ref,
                        x2, smask, want_soft)
@@ -233,35 +236,46 @@ def _sparse_log_probs_ref(x2: np.ndarray, smask, want_soft: bool):
     log_values = smask.log_values
     if log_values.dtype != x2.dtype:
         log_values = log_values.astype(x2.dtype)
-    layout = getattr(smask, "layout", None)
-    if layout is not None and not want_soft:
-        return _flat_log_probs(x2, smask, log_values, *layout), None
     r, s = x2.shape
     indptr = smask.indptr
-    lens = np.diff(indptr)
-    nz_rows = np.repeat(np.arange(r), lens)
-    z_nz = x2[nz_rows, smask.indices] + log_values
-    nonempty = lens > 0
+    layout = None if want_soft else getattr(smask, "layout", None)
+    if layout is not None:
+        # Entry k sits at flat position flat[k] of x2 and every row is
+        # non-empty: nothing per-row is re-derived.
+        flat, counts = layout
+        nz_rows = empty = None
+        has_empty = False
+    else:
+        counts = np.diff(indptr)
+        nz_rows = np.repeat(np.arange(r), counts)
+        flat = nz_rows * s + smask.indices
+        empty = counts == 0
+        has_empty = bool(empty.any())
+    z_nz = x2.take(flat) + log_values
     soft_nz = None
     # Per-row normalisers accumulate in float64 regardless of the
     # compute dtype (identical bits at float64; one rounding per row
     # at float32 when folded back below).
     log_z = np.empty(r, dtype=np.float64)
     if z_nz.size:
-        starts = indptr[:-1][nonempty]
-        seg_lens = lens[nonempty]
+        starts, seg_lens = indptr[:-1], counts
+        if has_empty:
+            nonempty = ~empty
+            starts, seg_lens = starts[nonempty], counts[nonempty]
         seg_max = np.maximum.reduceat(z_nz, starts)
         e_nz = np.exp(z_nz - np.repeat(seg_max, seg_lens))
         seg_sum = np.add.reduceat(e_nz, starts, dtype=np.float64)
-        log_z[nonempty] = seg_max + np.log(seg_sum)
+        if has_empty:
+            log_z[nonempty] = seg_max + np.log(seg_sum)
+        else:
+            log_z = seg_max + np.log(seg_sum)
         if want_soft:
             e_nz /= np.repeat(seg_sum, seg_lens)
             soft_nz = e_nz
     elif want_soft:
         soft_nz = np.empty(0, dtype=x2.dtype)
-    empty = ~nonempty
     soft_empty = None
-    if empty.any():
+    if has_empty:
         xe = x2[empty]
         max_e = xe.max(axis=1, keepdims=True)
         exp_e = np.exp(xe - max_e)
@@ -273,30 +287,11 @@ def _sparse_log_probs_ref(x2: np.ndarray, smask, want_soft: bool):
     adjust = smask.floor - log_z
     if adjust.dtype != x2.dtype:
         adjust = adjust.astype(x2.dtype)
-    out = x2 + adjust[:, None]
-    out[nz_rows, smask.indices] = z_nz - log_z[nz_rows]
-    return out, (nz_rows, soft_nz, empty, soft_empty)
-
-
-def _flat_log_probs(x2: np.ndarray, smask, log_values: np.ndarray,
-                    flat: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Inference leg of :func:`_sparse_log_probs_ref` for a mask with a
-    step layout (every row non-empty): entry ``k`` sits at flat
-    position ``flat[k]`` of ``x2`` and row ``r`` owns ``counts[r]``
-    entries, so no per-row bookkeeping is re-derived.  Bit-identical
-    to the row-indexed leg."""
-    starts = smask.indptr[:-1]
-    z_nz = x2.take(flat) + log_values
-    seg_max = np.maximum.reduceat(z_nz, starts)
-    e_nz = np.exp(z_nz - np.repeat(seg_max, counts))
-    seg_sum = np.add.reduceat(e_nz, starts, dtype=np.float64)
-    log_z = seg_max + np.log(seg_sum)  # float64, as in the row leg
-    adjust = smask.floor - log_z
-    if adjust.dtype != x2.dtype:
-        adjust = adjust.astype(x2.dtype)
     out = np.add(x2, adjust[:, None], order="C")  # ravel() must be a view
     out.ravel()[flat] = z_nz - np.repeat(log_z, counts)
-    return out
+    if not want_soft:
+        return out, None
+    return out, (nz_rows, soft_nz, empty, soft_empty)
 
 
 def _sparse_masked_log_softmax(x: Tensor, smask, axis: int) -> Tensor:

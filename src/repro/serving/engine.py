@@ -656,7 +656,7 @@ class LiveDecodeSet:
             start += size
         keep = np.concatenate(keep)
         self._tables = tuple(_extend(table, 0, table[keep] if isinstance(
-            table, np.ndarray) else table.take(keep)) for table in self._tables)
+            table, np.ndarray) else table.gather(keep)) for table in self._tables)
         # Rows are grouped by admission, in admission order, and every
         # decoding admission still owns at least one row.
         counts = np.unique(self._owner, return_counts=True)[1]
