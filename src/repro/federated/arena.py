@@ -150,7 +150,7 @@ class ModelArena:
             # Captured before any training touches the slot: the factory
             # is deterministic, so this is the parameter vector every
             # client starts from.
-            self._pristine_params = client.flat_parameters(dtype=np.float64)
+            self._pristine_params = client.flat_parameters()
             self._pristine_session = client.session_state()
         return client
 

@@ -11,8 +11,8 @@ Bit-identical resume contract
 A resumed run must be indistinguishable from the uninterrupted one, so
 a checkpoint captures *every* mutable input of the remaining rounds:
 
-* the global flat parameter vector (exact float64 — never the reduced
-  exchange dtype);
+* the global flat parameter vector (exact float64 — never a codec's
+  decoded wire vector);
 * each client's exact float64 parameters and
   :class:`~repro.federated.client.ClientSessionState` (batch-shuffle
   RNG, flat optimiser moments, model dropout generator states);

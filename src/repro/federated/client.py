@@ -116,9 +116,9 @@ class FederatedClient:
         metrics = self._train_locally(epochs, distiller)
         return self._space.get_flat(), metrics
 
-    def flat_parameters(self, dtype=None) -> np.ndarray:
-        """The current local parameters as one flat vector (exchange
-        dtype by default; pass ``dtype=np.float64`` for an exact copy)."""
+    def flat_parameters(self, dtype=np.float64) -> np.ndarray:
+        """The current local parameters as one flat vector (an exact
+        float64 copy unless ``dtype`` says otherwise)."""
         return self._space.get_flat(dtype=dtype)
 
     # ------------------------------------------------------------------

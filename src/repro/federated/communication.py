@@ -12,12 +12,12 @@ A :class:`Codec` turns a flat float64 ``(P,)`` parameter vector into a
 picklable wire payload and back:
 
 ``identity``
-    The payload *is* the flat vector in the active exchange dtype
-    (:func:`repro.nn.set_default_dtype`) — the pre-codec behaviour,
+    The payload *is* the float64 flat vector — the pre-codec behaviour,
     bitwise unchanged.
 ``float32``
     The payload carries float32 values: half the bytes of float64,
-    decoded back to float64 server-side.
+    decoded back to float64 server-side.  This is the only float32
+    wire.
 ``int8`` / ``int8-nofb``
     QSGD-style 8-bit quantisation: the vector is split into fixed-size
     chunks, each scaled by its absmax (``scale = absmax / 127``) and
@@ -93,7 +93,7 @@ class Codec:
     ``error_feedback`` marks codecs whose callers should carry the
     quantisation residual across rounds (see
     :func:`encode_with_feedback`); ``is_identity`` marks the pass-through
-    codec whose payloads are bare ndarrays in the exchange dtype.
+    codec whose payloads are bare float64 ndarrays.
     """
 
     name: str = ""
@@ -111,8 +111,7 @@ class Codec:
 
 
 class IdentityCodec(Codec):
-    """Pass-through: the wire payload is the flat vector itself, in
-    whatever exchange dtype the caller allocated it."""
+    """Pass-through: the wire payload is the flat vector itself."""
 
     name = "identity"
     is_identity = True
@@ -323,10 +322,7 @@ def payload_num_bytes(payload) -> int:
     * :class:`EncodedPayload`: the **full** encoded size — quantised
       values plus per-chunk scale metadata plus the fixed
       :data:`PAYLOAD_HEADER_BYTES` framing overhead;
-    * flat ``np.ndarray`` (identity codec): raw ``nbytes``, so dropping
-      the exchange dtype to float32
-      (:func:`repro.nn.set_default_dtype`) halves the recorded traffic
-      exactly as before;
+    * flat ``np.ndarray`` (identity codec): raw ``nbytes``;
     * state dict: summed entry ``nbytes``.
 
     Both federated paths (rounds and the isolated "w/o FL" ablation)

@@ -59,8 +59,7 @@ class GaussianMechanism:
         """
         # Deliberate float64 upcast (not a hot-path leak): clipping norms
         # and noise calibration run at master precision whatever the
-        # compute/exchange dtypes; the trainer re-casts the privatised
-        # vector to the exchange dtype before aggregation.
+        # compute dtype or the codec's wire precision.
         local_flat = np.asarray(local_flat, dtype=np.float64)
         global_flat = np.asarray(global_flat, dtype=np.float64)
         if local_flat.shape != global_flat.shape:

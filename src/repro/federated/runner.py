@@ -34,13 +34,10 @@ round histories and final global parameters:
 * every task carries the client's full mutable state (RNG bit-generator
   state, flat Adam/SGD moments), so results do not depend on which
   worker executes which client, or on pool scheduling;
-* tasks also re-assert the process-global switches inside the worker —
-  the kernel-fusion flag, the sparse-constraint-mask flag, the
-  packed-decode flag (the accuracy gates of Algorithm 2 run inference
-  through :mod:`repro.serving`), the exchange dtype, the compute
-  dtype (worker-side models are cast in place if the parent flipped it
-  after pool start-up) — so both sides run the same kernels over the
-  same mask representation at the same precision;
+* tasks also re-assert the process-global compute dtype inside the
+  worker (worker-side models are cast in place if the parent flipped
+  it after pool start-up), so both sides run the same kernels at the
+  same precision;
 * the trainer submits tasks in ascending client-id order and the
   runners return results in task order, so aggregation order never
   depends on completion order;
@@ -181,7 +178,6 @@ class RoundTask:
     epochs: int
     teacher_flat: np.ndarray | None  # float64; None = no distillation
     session: ClientSessionState | None  # None = pristine session
-    exchange_dtype: str = "float64"
     compute_dtype: str = "float64"
     round_index: int = 0  # fault-plan coordinate
     exchange_codec: str = "identity"  # uplink/downlink wire codec name
@@ -199,10 +195,9 @@ class RoundResult:
     metrics: dict
     session: ClientSessionState | None  # the trained session snapshot
     params_flat: np.ndarray | None = None  # exact float64 params when the
-    # exchange dtype is reduced or the codec is lossy (the shard must not
-    # store rounded parameters) or when the upload was fault-corrupted
-    # (the shard must not adopt the corruption — only the wire payload
-    # is poisoned)
+    # codec is lossy (the shard must not store rounded parameters) or
+    # when the upload was fault-corrupted (the shard must not adopt the
+    # corruption — only the wire payload is poisoned)
     payload_bytes: int | None = None  # measured wire size of the encoded
     # upload (None for hand-built results: the trainer falls back to
     # metering upload_flat directly)
@@ -323,22 +318,20 @@ def _encode_upload(task: RoundTask, client: FederatedClient,
     sync-back must not adopt the lossy wire vector (None when the wire
     carries the parameters exactly, i.e. the identity codec).
 
-    Under a non-identity codec the exchange-dtype ladder is bypassed:
-    the codec quantises the *exact* float64 parameters (plus the
-    carried error-feedback residual) and fully determines the wire
-    bytes.  The residual update is a pure function of the parameters
-    and the previous residual, so in-process and pool execution — and
-    retries, which restore the session snapshot first — encode
-    bit-identically."""
+    ``flat`` is the client's exact float64 parameters; a non-identity
+    codec quantises it (plus the carried error-feedback residual) and
+    fully determines the wire bytes.  The residual update is a pure
+    function of the parameters and the previous residual, so in-process
+    and pool execution — and retries, which restore the session
+    snapshot first — encode bit-identically."""
     codec = codec_by_name(task.exchange_codec)
     if codec.is_identity:
         return flat, payload_num_bytes(flat), None
-    exact = client.flat_parameters(dtype=np.float64)
     payload, decoded, residual = encode_with_feedback(
-        codec, exact, client.codec_residual)
+        codec, flat, client.codec_residual)
     if codec.error_feedback:
         client.codec_residual = residual
-    return decoded, payload_num_bytes(payload), exact
+    return decoded, payload_num_bytes(payload), flat
 
 
 # ----------------------------------------------------------------------
@@ -485,16 +478,12 @@ class TaskExecutor:
 
     def execute(self, task: RoundTask, attempt: int = 0,
                 deadline: float | None = None) -> RoundResult:
-        # Mirror the parent's process-global dtypes so both backends run
-        # at identical compute and wire precision.  The previous values
-        # are restored afterwards: every task re-asserts its own dtypes,
-        # so worker processes lose nothing, and in-process execution
-        # (tests, debugging) cannot leak a task's dtypes into the caller.
-        previous = (
-            nn.set_default_dtype(task.exchange_dtype),
-            nn.set_compute_dtype(task.compute_dtype),
-        )
-        try:
+        # Mirror the parent's process-global compute dtype so both
+        # backends run at identical kernel precision.  The previous value
+        # is restored afterwards: every task re-asserts its own dtype, so
+        # worker processes lose nothing, and in-process execution (tests,
+        # debugging) cannot leak a task's dtype into the caller.
+        with nn.use_compute_dtype(task.compute_dtype):
             plan = self.setup.fault_plan
             fault = _inject_pre_train(plan, task, attempt, deadline)
             self._ensure_model_dtype()
@@ -511,24 +500,18 @@ class TaskExecutor:
                 distiller = self._distiller(self._resolve_teacher_flat(task))
                 flat, metrics = client.local_train_flat(task.epochs, distiller)
                 upload, nbytes, params_flat = _encode_upload(task, client, flat)
-                if (params_flat is None
-                        and np.dtype(task.exchange_dtype) != np.float64):
-                    params_flat = client.flat_parameters(dtype=np.float64)
                 upload, corrupted, delay = _apply_post_fault(
                     plan, task, attempt, fault, upload)
                 if corrupted and params_flat is None:
                     # Only the wire payload is poisoned: ship the exact
                     # parameters so the shard stores what the client
                     # trained, not the corruption.
-                    params_flat = client.flat_parameters(dtype=np.float64)
+                    params_flat = client.flat_parameters()
                 return RoundResult(task.client_id, upload, metrics,
                                    client.session_state(), params_flat,
                                    payload_bytes=nbytes, straggler_delay=delay)
             finally:
                 self.arena.checkin(client)
-        finally:
-            nn.set_default_dtype(previous[0])
-            nn.set_compute_dtype(previous[1])
 
 
 class ArenaRunner(RoundRunner):

@@ -6,10 +6,10 @@ Holds the global model, samples a client fraction each round
 The server views the global model through a
 :class:`~repro.nn.flatten.FlatParameterSpace`: broadcast and
 aggregation move single ``(P,)`` vectors, and averaging ``C`` uploads
-is one ``np.average`` over the stacked ``(C, P)`` matrix.  The wire
-vectors honour the exchange dtype (:func:`repro.nn.set_default_dtype`):
-with float32 enabled, broadcasts and uploads ship at half the bytes
-while aggregation still averages in float64.
+is one ``np.average`` over the stacked ``(C, P)`` matrix.  The flat
+vectors are float64; a float32 wire is the ``"float32"`` exchange codec
+(:mod:`repro.federated.communication`), and aggregation averages the
+decoded uploads in float64 either way.
 """
 
 from __future__ import annotations
@@ -84,13 +84,9 @@ class FederatedServer:
         """The current global parameters as a state dict."""
         return self.global_model.state_dict()
 
-    def global_flat(self, dtype=None) -> np.ndarray:
-        """The current global parameters as one flat ``(P,)`` vector.
-
-        Allocated in ``dtype`` when given, else the exchange dtype —
-        this is the broadcast payload, so its dtype is what the
-        communication ledger meters.
-        """
+    def global_flat(self, dtype=np.float64) -> np.ndarray:
+        """The current global parameters as one flat ``(P,)`` vector
+        (float64 unless ``dtype`` says otherwise)."""
         return self._space.get_flat(dtype=dtype)
 
     def load_global_flat(self, flat: np.ndarray) -> None:
@@ -197,8 +193,8 @@ class FederatedServer:
                        weights: list[float] | None = None) -> np.ndarray:
         """Average uploaded flat vectors into the global model.
 
-        Uploads may arrive in any float dtype (float32 on the wire with
-        the reduced exchange dtype); the average itself runs in float64.
+        Uploads may arrive in any float dtype; the average itself runs
+        in float64.
         Non-finite uploads are refused outright — callers wanting
         per-client tolerance screen with :meth:`validate_upload` first.
         """

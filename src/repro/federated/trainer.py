@@ -466,7 +466,7 @@ class FederatedTrainer:
                 f"checkpoint has {len(checkpoint.client_sessions)} clients, "
                 f"trainer has {len(self._client_data)} — not the same "
                 f"federation")
-        expected = self.server.global_flat(dtype=np.float64).size
+        expected = self.server.global_flat().size
         if checkpoint.global_flat.size != expected:
             raise ValueError(
                 f"checkpoint global vector has {checkpoint.global_flat.size} "
@@ -504,7 +504,7 @@ class FederatedTrainer:
         # identical copies.
         checkpoint = FederatedCheckpoint(
             next_round=next_round,
-            global_flat=self.server.global_flat(dtype=np.float64),
+            global_flat=self.server.global_flat(),
             client_sessions=tuple(shard.session for shard in self.shards),
             client_params=tuple(shard.params_flat for shard in self.shards),
             trainer_rng_state=self._rng.bit_generator.state,
@@ -555,9 +555,8 @@ class FederatedTrainer:
                 "return client.session_state() with every result)")
         shard = self.shards[result.client_id]
         shard.session = result.session
-        # The exact float64 snapshot when the exchange dtype is reduced
-        # or the wire is lossy, else the upload itself (already exact
-        # float64 in that case).
+        # The exact float64 snapshot when the wire is lossy, else the
+        # upload itself (already exact float64 in that case).
         exact = (result.upload_flat if result.params_flat is None
                  else result.params_flat)
         shard.params_flat = np.asarray(exact, dtype=np.float64)
@@ -579,11 +578,10 @@ class FederatedTrainer:
             else:
                 teacher_result = self._train_teacher()
                 _warn_if_teacher_untrained(teacher_result, self.config.lt)
-                # The teacher is frozen after pre-training: snapshot it once
-                # (always float64 — the teacher never crosses the wire as a
-                # true upload); every runner distils from this snapshot.
+                # The teacher is frozen after pre-training: snapshot it once;
+                # every runner distils from this snapshot.
                 self._teacher_flat = FlatParameterSpace.from_module(
-                    teacher_result.teacher).get_flat(dtype=np.float64)
+                    teacher_result.teacher).get_flat()
 
         ledger = CommunicationLedger()
         history: list[RoundRecord] = []
@@ -628,16 +626,14 @@ class FederatedTrainer:
     def _broadcast_payload(self):
         """One round's downlink: ``(wire, decoded reference, bytes/client)``.
 
-        Identity codec: the wire *is* the exchange-dtype flat vector,
-        bitwise the pre-codec behaviour.  Otherwise the exact float64
-        global vector is encoded (carrying the server-side error-
+        Identity codec: the wire *is* the exact float64 global vector.
+        Otherwise that vector is encoded (carrying the server-side error-
         feedback residual) and every client decodes the same payload,
         so what clients load is exactly ``decoded``.
         """
+        exact = self.server.global_flat()
         if self.codec.is_identity:
-            flat = self.server.global_flat()
-            return flat, flat, payload_num_bytes(flat)
-        exact = self.server.global_flat(dtype=np.float64)
+            return exact, exact, payload_num_bytes(exact)
         payload, decoded, residual = encode_with_feedback(
             self.codec, exact, self._downlink_residual)
         if self.codec.error_feedback:
@@ -659,7 +655,6 @@ class FederatedTrainer:
                 teacher_flat=None if use_setup else self._teacher_flat,
                 use_setup_teacher=use_setup,
                 session=self.shards[client_id].session,
-                exchange_dtype=nn.get_default_dtype().name,
                 compute_dtype=nn.get_compute_dtype().name,
                 round_index=round_index,
                 exchange_codec=self.codec.name,
@@ -761,13 +756,8 @@ class FederatedTrainer:
                 continue
             vector = result.upload_flat
             if self.privatizer is not None:
-                # Privatise from the original upload object; under the
-                # identity codec the privatised vector is re-cast to the
-                # exchange dtype, as any upload on that wire is.
                 vector = self.privatizer.privatize_update_flat(vector,
                                                                reference)
-                if self.codec.is_identity:
-                    vector = np.asarray(vector, dtype=nn.get_default_dtype())
             latency = 0.0 if barrier else self.latency.draw(wave,
                                                             result.client_id)
             state.in_flight.append(PendingUpload(
@@ -889,8 +879,8 @@ def train_isolated_then_average(model_factory: Callable[[], RecoveryModel],
     removed and clients swap their local models with each other.  The
     exchange — averaging and ledger accounting alike — moves the same
     flat ``(P,)`` vectors as the main federated path, so byte counts
-    are directly comparable between the two (and both honour the
-    exchange dtype of :func:`repro.nn.set_default_dtype`).
+    are directly comparable between the two (and both go through the
+    same exchange codec).
     """
     trainer = FederatedTrainer(model_factory, client_data, mask_builder,
                                config, global_test, seed=seed)
@@ -911,19 +901,19 @@ def train_isolated_then_average(model_factory: Callable[[], RecoveryModel],
             # A single exchange: encode without a carried residual (there
             # is no next round for error feedback to land in).
             payload, decoded, _ = encode_with_feedback(
-                codec, client.flat_parameters(dtype=np.float64), None)
+                codec, client.flat_parameters(), None)
             flats.append(decoded)
             upload_bytes.append(payload_num_bytes(payload))
         losses.append(float(np.mean(epoch_losses)))
         shard.session = client.session_state()
-        shard.params_flat = client.flat_parameters(dtype=np.float64)
+        shard.params_flat = client.flat_parameters()
     trainer.server.aggregate_flat(flats)
     ledger = CommunicationLedger()
     # One exchange at the end: every client ships its model to the others.
     if codec.is_identity:
         ledger.record_round(0, trainer.server.global_flat(), flats)
     else:
-        averaged = codec.encode(trainer.server.global_flat(dtype=np.float64))
+        averaged = codec.encode(trainer.server.global_flat())
         ledger.record_round(0, None, flats, num_broadcast=len(flats),
                             broadcast_bytes=payload_num_bytes(averaged),
                             upload_bytes=upload_bytes)

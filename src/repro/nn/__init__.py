@@ -24,14 +24,7 @@ tracers one place to wrap.
 """
 
 from .attention import AdditiveAttention, SelfAttention, scaled_dot_product_attention
-from .dtypes import (
-    get_compute_dtype,
-    get_default_dtype,
-    set_compute_dtype,
-    set_default_dtype,
-    use_compute_dtype,
-    use_default_dtype,
-)
+from .dtypes import get_compute_dtype, set_compute_dtype, use_compute_dtype
 from .flatten import FlatLayout, FlatParameterSpace
 from .flops import (
     CostReport,
@@ -89,9 +82,8 @@ __all__ = [
     # recurrent
     "RNN", "RNNCell", "GRU", "GRUCell", "LSTM", "LSTMCell",
     "fused_rnn_scan", "fused_gru_scan", "fused_lstm_scan",
-    # precision switches (compute + exchange)
+    # precision switch (compute dtype)
     "get_compute_dtype", "set_compute_dtype", "use_compute_dtype",
-    "get_default_dtype", "set_default_dtype", "use_default_dtype",
     # hot-kernel call point
     "call_kernel",
     # attention

@@ -1,8 +1,6 @@
-"""Two-level precision config: *compute* dtype and *exchange* dtype.
+"""Compute dtype: the precision of tensors, kernels and decode state.
 
-The substrate distinguishes two precisions:
-
-**Compute dtype** (:func:`set_compute_dtype`, default ``float64``) is
+The **compute dtype** (:func:`set_compute_dtype`, default ``float64``) is
 the dtype of everything the hot loops touch: :class:`~repro.nn.tensor.Tensor`
 data (parameters, activations, gradients), the fused RNN/GRU/LSTM scan
 buffers, constraint-mask arrays, and the packed decode engine's state.
@@ -17,25 +15,17 @@ flat update arithmetic are always float64 ("master" precision), and
 the update is cast to the compute dtype only when scattered back into
 the parameters (see :mod:`repro.nn.optim`).
 
-**Exchange dtype** (:func:`set_default_dtype`, default ``float64``) is
-the dtype of federated wire payloads: what
-:meth:`~repro.nn.flatten.FlatParameterSpace.get_flat` and
-:meth:`~repro.nn.flatten.FlatLayout.flatten_state` allocate when the
-caller does not supply an output buffer.  ``float32`` halves the bytes
-of every broadcast/upload while server-side aggregation still runs in
-float64 (optimisers pass their own float64 buffers via ``out=``).
+Flat parameter vectors (:mod:`repro.nn.flatten`) are always float64;
+a float32 federated wire is the ``"float32"`` exchange codec
+(:mod:`repro.federated.communication`).  With the compute dtype at
+``float64`` every code path is bitwise identical to the
+pre-mixed-precision tree — float64 is the reference substrate.
 
-The two knobs are independent: a float64-compute run can ship float32
-payloads (PR 2's original knob), and a float32-compute run still
-aggregates uploads in float64.  With both at ``float64`` every code
-path is bitwise identical to the pre-mixed-precision tree — float64 is
-the reference substrate.
-
-Both flags are process-global.  Parallel round runners re-assert them
+The flag is process-global.  Parallel round runners re-assert it
 inside every worker task (see :mod:`repro.federated.runner`), so serial
-and process-pool federated runs see identical kernel precision and
-wire precision.  Set the compute dtype *before* building models:
-parameters adopt the dtype active at construction time.
+and process-pool federated runs see identical kernel precision.  Set
+the compute dtype *before* building models: parameters adopt the dtype
+active at construction time.
 """
 
 from __future__ import annotations
@@ -44,36 +34,18 @@ import contextlib
 
 import numpy as np
 
-__all__ = [
-    "get_compute_dtype", "set_compute_dtype", "use_compute_dtype",
-    "get_default_dtype", "set_default_dtype", "use_default_dtype",
-]
+__all__ = ["get_compute_dtype", "set_compute_dtype", "use_compute_dtype"]
 
-#: Dtypes either level supports.  Everything else would silently corrupt
+#: Supported compute dtypes.  Everything else would silently corrupt
 #: integer state or lose more precision than the tolerance audit (or
-#: federated averaging) can absorb, so the setters validate against it.
+#: federated averaging) can absorb, so the setter validates against it.
 _ALLOWED = (np.dtype(np.float32), np.dtype(np.float64))
 
 #: Read directly (as ``dtypes._COMPUTE_DTYPE``) by Tensor construction,
 #: which is too hot for a function call per node.
 _COMPUTE_DTYPE = np.dtype(np.float64)
 
-_EXCHANGE_DTYPE = np.dtype(np.float64)
 
-
-def _validated(dtype, level: str) -> np.dtype:
-    resolved = np.dtype(dtype)
-    if resolved not in _ALLOWED:
-        raise ValueError(
-            f"unsupported {level} dtype {dtype!r}; expected one of "
-            f"{tuple(d.name for d in _ALLOWED)}"
-        )
-    return resolved
-
-
-# ----------------------------------------------------------------------
-# compute dtype (tensor / kernel / optimizer-scatter precision)
-# ----------------------------------------------------------------------
 def get_compute_dtype() -> np.dtype:
     """The dtype tensors, kernels, and decode state currently use."""
     return _COMPUTE_DTYPE
@@ -87,8 +59,14 @@ def set_compute_dtype(dtype) -> np.dtype:
     constructing models (existing parameters keep their dtype).
     """
     global _COMPUTE_DTYPE
+    resolved = np.dtype(dtype)
+    if resolved not in _ALLOWED:
+        raise ValueError(
+            f"unsupported compute dtype {dtype!r}; expected one of "
+            f"{tuple(d.name for d in _ALLOWED)}"
+        )
     previous = _COMPUTE_DTYPE
-    _COMPUTE_DTYPE = _validated(dtype, "compute")
+    _COMPUTE_DTYPE = resolved
     return previous
 
 
@@ -100,30 +78,3 @@ def use_compute_dtype(dtype):
         yield
     finally:
         set_compute_dtype(previous)
-
-
-# ----------------------------------------------------------------------
-# exchange dtype (federated wire precision)
-# ----------------------------------------------------------------------
-def get_default_dtype() -> np.dtype:
-    """The current exchange dtype for flat parameter vectors."""
-    return _EXCHANGE_DTYPE
-
-
-def set_default_dtype(dtype) -> np.dtype:
-    """Set the exchange dtype (``"float32"``/``"float64"``); returns the
-    previous value so callers can restore it."""
-    global _EXCHANGE_DTYPE
-    previous = _EXCHANGE_DTYPE
-    _EXCHANGE_DTYPE = _validated(dtype, "exchange")
-    return previous
-
-
-@contextlib.contextmanager
-def use_default_dtype(dtype):
-    """Context manager scoping the exchange dtype (like ``no_grad``)."""
-    previous = set_default_dtype(dtype)
-    try:
-        yield
-    finally:
-        set_default_dtype(previous)

@@ -8,13 +8,11 @@ optimisers and the federated stack can gather/scatter all weights (or
 gradients) with one slice-copy per tensor and run their arithmetic as a
 handful of vectorized ops on ``(P,)`` buffers instead of per-key loops.
 
-Gather allocations honour the *exchange dtype*
-(:func:`~repro.nn.dtypes.set_default_dtype`): when no output buffer is
-supplied, :meth:`FlatParameterSpace.get_flat` and
-:meth:`FlatLayout.flatten_state` allocate in that dtype, so federated
-payloads can travel as float32 while parameters, gradients, and
-optimiser buffers (which always pass explicit float64 ``out=`` arrays)
-stay float64.
+Gathers allocate float64 when no output buffer is supplied, whatever
+the compute dtype of the parameters: flat vectors are the optimisers'
+master precision and the federated exchange's exact form.  A float32
+wire is the ``"float32"`` exchange codec
+(:mod:`repro.federated.communication`), which encodes these vectors.
 """
 
 from __future__ import annotations
@@ -24,7 +22,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .dtypes import get_default_dtype
 from .module import Module, Parameter
 
 __all__ = ["FlatLayout", "FlatParameterSpace"]
@@ -53,20 +50,16 @@ class FlatLayout:
         return cls(list(state.keys()),
                    [np.asarray(v).shape for v in state.values()])
 
-    def flatten_state(self, state: dict, out: np.ndarray | None = None,
-                      dtype=None) -> np.ndarray:
+    def flatten_state(self, state: dict,
+                      out: np.ndarray | None = None) -> np.ndarray:
         """Pack a state dict into a flat vector, validating shapes.
 
-        Without ``out`` the vector is allocated in ``dtype`` (default:
-        the exchange dtype).  Raises ``KeyError`` when a layout entry is
-        missing and ``ValueError`` on shape mismatch, mirroring
+        Without ``out`` the vector is allocated float64.  Raises
+        ``KeyError`` when a layout entry is missing and ``ValueError``
+        on shape mismatch, mirroring
         :meth:`~repro.nn.module.Module.load_state_dict`.
         """
-        if out is not None:
-            vec = out
-        else:
-            vec = np.empty(self.total_size,
-                           dtype=dtype if dtype is not None else get_default_dtype())
+        vec = out if out is not None else np.empty(self.total_size)
         for name, shape, size, offset in zip(self.names, self.shapes,
                                              self.sizes, self.offsets):
             if name not in state:
@@ -120,19 +113,15 @@ class FlatParameterSpace:
     # ------------------------------------------------------------------
     # gather / scatter
     # ------------------------------------------------------------------
-    def get_flat(self, out: np.ndarray | None = None, dtype=None) -> np.ndarray:
+    def get_flat(self, out: np.ndarray | None = None,
+                 dtype=np.float64) -> np.ndarray:
         """Gather all parameter values into one ``(P,)`` vector.
 
-        Without ``out`` the vector is allocated in ``dtype`` (default:
-        the exchange dtype, normally float64); assignments downcast per
-        slice.  Optimisers pass their own float64 ``out`` buffers, so
-        training math never sees a reduced precision.
+        Without ``out`` the vector is allocated in ``dtype`` (float64:
+        float32 parameters upcast exactly per slice).  Optimisers pass
+        their own float64 ``out`` buffers.
         """
-        if out is not None:
-            vec = out
-        else:
-            vec = np.empty(self.total_size,
-                           dtype=dtype if dtype is not None else get_default_dtype())
+        vec = out if out is not None else np.empty(self.total_size, dtype=dtype)
         for p, size, offset in zip(self.parameters, self.layout.sizes,
                                    self.layout.offsets):
             vec[offset:offset + size] = p.data.reshape(-1)

@@ -31,7 +31,6 @@ from .scheduler import (
     InvalidRequestError,
     RequestError,
     ServedResult,
-    ServingFlags,
 )
 from .service import DecodeService, QueueFullError, ServiceClosedError
 
@@ -40,7 +39,7 @@ __all__ = [
     "DecodeSession", "EmissionPolicy", "GreedyEmission", "PackedDecodeResult",
     "LiveDecodeSet", "LiveDecodeResult", "MuxError",
     "STDecodeProgram", "StackedRNNDecodeProgram", "AttnDecodeProgram",
-    "ContinuousBatcher", "ServingFlags", "ServedResult",
+    "ContinuousBatcher", "ServedResult",
     "RequestError", "DeadlineExceededError", "InvalidRequestError",
     "DecodeService", "QueueFullError", "ServiceClosedError",
 ]

@@ -25,17 +25,17 @@ half:
 * **FIFO, head-of-line blocking admission.**  Requests are admitted in
   submission order, and a head request that does not currently fit —
   not enough free rows, a mux-incompatible program (e.g. a different
-  attention encoder width), or different serving dtypes — *blocks* the
+  attention encoder width), or a different compute dtype — *blocks* the
   queue rather than being overtaken.  Nothing can starve: the live set
   drains monotonically, an empty set accepts any program, and an empty
   queue-head admission unblocks everything behind it.
-* **Per-request dtype capture.**  Each request snapshots the process
-  dtypes (:class:`ServingFlags`: compute and exchange dtype) at
-  ``submit`` time, the request's program is built and admitted under
-  them, and every step of a working set runs under the dtypes its residents were
-  admitted with — the :class:`~repro.federated.runner.RoundTask`
-  re-assertion idiom applied to serving.  Requests with different
-  dtypes never share a working set.
+* **Per-request dtype capture.**  Each request records the process
+  compute dtype at ``submit`` time, the request's program is built and
+  admitted under it, and every step of a working set runs under the
+  dtype its residents were admitted with — the
+  :class:`~repro.federated.runner.RoundTask` re-assertion idiom applied
+  to serving.  Requests with different compute dtypes never share a
+  working set.
 * **Solo fallback.**  A model with no decode program (the
   non-autoregressive FC baseline) cannot be muxed; its requests run as
   one-off solo :func:`~repro.serving.decode_model` calls at their
@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,49 +63,8 @@ from ..nn.flops import estimate_decode_flops
 from .api import batch_lengths, decode_model
 from .engine import DecodeSession, EmissionPolicy, MuxError
 
-__all__ = ["ServingFlags", "ServedResult", "RequestError",
-           "DeadlineExceededError", "InvalidRequestError", "ContinuousBatcher"]
-
-
-@dataclass(frozen=True)
-class ServingFlags:
-    """One request's snapshot of the process-global dtypes.
-
-    The serving twin of the :class:`~repro.federated.runner.RoundTask`
-    dtype fields: captured where the request originates, re-asserted
-    around every kernel call made on its behalf, and restored after —
-    so a long-lived service honours each caller's precision even when
-    callers differ.
-    """
-
-    exchange_dtype: str = "float64"
-    compute_dtype: str = "float64"
-
-    @classmethod
-    def capture(cls) -> "ServingFlags":
-        """Snapshot the caller's ambient dtypes."""
-        return cls(
-            exchange_dtype=np.dtype(nn.get_default_dtype()).name,
-            compute_dtype=np.dtype(nn.get_compute_dtype()).name,
-        )
-
-    def is_ambient(self) -> bool:
-        """``self == ServingFlags.capture()``, without the snapshot."""
-        return (nn.get_compute_dtype() == self.compute_dtype
-                and nn.get_default_dtype() == self.exchange_dtype)
-
-    @contextmanager
-    def applied(self):
-        """Assert these dtypes for a block, restoring the previous ones."""
-        previous = (
-            nn.set_default_dtype(self.exchange_dtype),
-            nn.set_compute_dtype(self.compute_dtype),
-        )
-        try:
-            yield
-        finally:
-            nn.set_default_dtype(previous[0])
-            nn.set_compute_dtype(previous[1])
+__all__ = ["ServedResult", "RequestError", "DeadlineExceededError",
+           "InvalidRequestError", "ContinuousBatcher"]
 
 
 class RequestError(RuntimeError):
@@ -137,15 +96,16 @@ class ServedResult:
 
 class _Request:
     __slots__ = ("handle", "batch", "log_mask", "lengths", "deadline",
-                 "flags", "program", "program_built")
+                 "compute_dtype", "program", "program_built")
 
-    def __init__(self, handle, batch, log_mask, lengths, deadline, flags):
+    def __init__(self, handle, batch, log_mask, lengths, deadline,
+                 compute_dtype):
         self.handle = handle
         self.batch = batch
         self.log_mask = log_mask
         self.lengths = lengths
         self.deadline = deadline
-        self.flags = flags
+        self.compute_dtype = compute_dtype
         self.program = None
         self.program_built = False
 
@@ -180,7 +140,7 @@ class ContinuousBatcher:
         self.max_batch = max_batch
         self._clock = clock
         self._live = DecodeSession(policy=policy).open(max_batch=max_batch)
-        self._live_flags: ServingFlags | None = None
+        self._live_dtype: np.dtype | None = None  # the residents' compute dtype
         self._queue: deque[_Request] = deque()
         self._deadlines = 0  # queued requests that carry a deadline
         self._flops_memo: dict[tuple[int, int], float] = {}
@@ -208,14 +168,13 @@ class ContinuousBatcher:
 
     # -- submission -----------------------------------------------------
     def submit(self, batch, log_mask, *, lengths: np.ndarray | None = None,
-               deadline: float | None = None,
-               flags: ServingFlags | None = None) -> int:
+               deadline: float | None = None) -> int:
         """Queue one request batch; returns its handle.
 
         ``lengths`` defaults to the batch's ``tgt_mask`` row sums;
         ``deadline`` is an absolute :attr:`clock` value by which the
-        request must have been *admitted*; ``flags`` default to a
-        snapshot of the caller's ambient flags.
+        request must have been *admitted*.  The request is decoded
+        under the compute dtype ambient at this call.
         """
         rows = int(batch.size)
         if rows > self.max_batch:
@@ -228,12 +187,11 @@ class ContinuousBatcher:
             lengths = np.asarray(lengths, dtype=np.int64)
             if lengths.shape != (rows,) or lengths.max(initial=0) > batch.steps:
                 raise ValueError(f"lengths {lengths.tolist()} do not fit the batch")
-        if flags is None:
-            flags = ServingFlags.capture()
         handle = self._next_handle
         self._next_handle += 1
         self._queue.append(
-            _Request(handle, batch, log_mask, lengths, deadline, flags))
+            _Request(handle, batch, log_mask, lengths, deadline,
+                     nn.get_compute_dtype()))
         self._deadlines += deadline is not None
         return handle
 
@@ -249,18 +207,18 @@ class ContinuousBatcher:
         self._expire_queued(outcomes)
         self._admit(outcomes)
         if not self._live.empty:
-            # Re-assert the residents' dtypes only when the ambient ones
-            # differ (the common case needs no set/restore).
-            flags = (nullcontext() if self._live_flags.is_ambient()
-                     else self._live_flags.applied())
-            with flags, nn.no_grad():
+            # Re-assert the residents' dtype only when the ambient one
+            # differs (the common case needs no set/restore).
+            dtype = (nullcontext() if self._live_dtype == nn.get_compute_dtype()
+                     else nn.use_compute_dtype(self._live_dtype))
+            with dtype, nn.no_grad():
                 finished = self._live.step()
             for live_result in finished:
                 request = self._by_live_handle.pop(live_result.handle)
                 outcomes.append((request.handle,
                                  self._to_served(request, live_result)))
             if self._live.empty:
-                self._live_flags = None
+                self._live_dtype = None
         return outcomes
 
     def drain(self) -> list[tuple[int, ServedResult | RequestError]]:
@@ -297,11 +255,12 @@ class ContinuousBatcher:
         request whose program build or solo decode raises fails alone."""
         while self._queue:
             head = self._queue[0]
-            if self._live_flags is not None and head.flags != self._live_flags:
-                return  # wait for the set to drain, then re-key the dtypes
+            if (self._live_dtype is not None
+                    and head.compute_dtype != self._live_dtype):
+                return  # wait for the set to drain, then re-key the dtype
             try:
                 if not head.program_built:
-                    with head.flags.applied(), nn.no_grad():
+                    with nn.use_compute_dtype(head.compute_dtype), nn.no_grad():
                         head.program = self.model.decode_program(
                             head.batch, head.log_mask)
                     head.program_built = True
@@ -318,14 +277,14 @@ class ContinuousBatcher:
                 try:
                     # Admission sizes the request's output buffers: at
                     # its own compute dtype, not the ambient one.
-                    with head.flags.applied():
+                    with nn.use_compute_dtype(head.compute_dtype):
                         live_handle = self._live.admit(
                             head.program, head.batch, lengths=head.lengths)
                 except MuxError:
                     return  # incompatible with residents: wait for drain
                 self._by_live_handle[live_handle] = head
-                if self._live_flags is None:
-                    self._live_flags = head.flags
+                if self._live_dtype is None:
+                    self._live_dtype = head.compute_dtype
             else:
                 outcomes.append((head.handle, outcome))
             self._queue.popleft()
@@ -338,7 +297,7 @@ class ContinuousBatcher:
         return self.max_batch if free is None else free
 
     def _solo(self, request: _Request) -> ServedResult:
-        with request.flags.applied():
+        with nn.use_compute_dtype(request.compute_dtype):
             output = decode_model(self.model, request.batch, request.log_mask)
         steps = int(request.batch.steps)
         return ServedResult(

@@ -8,10 +8,10 @@ loop on its own:
 
 * :meth:`DecodeService.submit` enqueues a request from any thread and
   returns a handle; :meth:`DecodeService.result` blocks until that
-  request finishes (or re-raises its rejection).  Execution flags are
-  captured in the *caller's* thread (:class:`ServingFlags.capture`), so
-  each request runs under the configuration of whoever submitted it,
-  not whatever the worker happens to have ambient.
+  request finishes (or re-raises its rejection).  The batcher records
+  the process compute dtype at ``submit``, under the lock the worker
+  steps under, so each request runs at the precision its submitter
+  had ambient, never at a dtype a step holds only while it runs.
 * **Backpressure**: submissions beyond ``max_queue`` pending requests
   raise :class:`QueueFullError` immediately — callers shed load at the
   door instead of growing an unbounded queue.  Per-request ``timeout``
@@ -41,7 +41,7 @@ import threading
 import time
 from concurrent.futures import Future
 
-from .scheduler import ContinuousBatcher, RequestError, ServingFlags
+from .scheduler import ContinuousBatcher, RequestError
 
 __all__ = ["DecodeService", "QueueFullError", "ServiceClosedError"]
 
@@ -92,7 +92,6 @@ class DecodeService:
         requests are already pending and :class:`ServiceClosedError`
         after :meth:`shutdown`.
         """
-        flags = ServingFlags.capture()  # the caller's configuration
         deadline = None if timeout is None else self._clock() + timeout
         with self._cond:
             if self._closed:
@@ -102,7 +101,7 @@ class DecodeService:
                     f"{len(self._futures)} requests pending "
                     f"(max_queue={self.max_queue})")
             handle = self._batcher.submit(batch, log_mask, lengths=lengths,
-                                          deadline=deadline, flags=flags)
+                                          deadline=deadline)
             self._futures[handle] = Future()
             self._stats["submitted"] += 1
             self._cond.notify_all()

@@ -63,6 +63,7 @@ import pytest
 from repro import nn
 from repro.core import ConstraintMaskBuilder, RecoveryModelConfig
 from repro.data import TrajectoryDataset, geolife_like
+from repro.data.trajectory import MatchedTrajectory
 from repro.spatial import grid_city
 
 _FORCED_DTYPE = os.environ.get("REPRO_COMPUTE_DTYPE")
@@ -146,6 +147,24 @@ def tiny_dataset(tiny_world):
     return TrajectoryDataset.from_matched(
         tiny_world.matched, tiny_world.grid, tiny_world.network, keep_ratio=0.25
     )
+
+
+#: Uneven trajectory lengths, with a strictly longest one so a packed
+#: decode working set eventually compacts all the way down to a single
+#: row (exercising the single-row BLAS guard).
+RAGGED_LENGTHS = (5, 9, 17, 12, 7, 15, 4, 11)
+
+
+@pytest.fixture(scope="session")
+def ragged_dataset(tiny_world):
+    """The tiny world's trajectories trimmed to :data:`RAGGED_LENGTHS`."""
+    trimmed = [
+        MatchedTrajectory(t.traj_id, t.driver_id, t.epsilon,
+                          t.points[:RAGGED_LENGTHS[i % len(RAGGED_LENGTHS)]])
+        for i, t in enumerate(tiny_world.matched)
+    ]
+    return TrajectoryDataset.from_matched(trimmed, tiny_world.grid,
+                                          tiny_world.network, keep_ratio=0.25)
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,6 @@
 """Sparse constraint masks: CSR building, sparse-aware masked
 log-softmax equivalence against the dense ``build`` oracle (fused and
-reference kernels, both exchange dtypes), edge densities, and the
+reference kernels, identity and float32 codecs), edge densities, and the
 warm/pickle contract of the sparse row pool."""
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from repro import nn
 from repro.baselines import FCRecoveryModel
 from repro.core import ConstraintMaskBuilder, LTEModel, SparseConstraintMask
 from repro.core.mask import _FLOOR_LOG
+from repro.federated import codec_by_name
 from reference_paths import reference_kernels
 
 
@@ -173,17 +174,21 @@ class TestSparseSoftmaxEquivalence:
             assert abs(fd - xt.grad[idx]) < 1e-4, (idx, fd, xt.grad[idx])
 
     @pytest.mark.parametrize("fused", [True, False])
-    @pytest.mark.parametrize("exchange_dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("exchange_codec", ["identity", "float32"])
     def test_model_forward_equivalence(self, tiny_dataset, tiny_mask,
-                                       tiny_config, fused, exchange_dtype):
+                                       tiny_config, fused, exchange_codec):
         """Sparse vs dense masks agree through the whole model on every
-        (fused, exchange-dtype) combination, teacher-forced and
-        autoregressive alike."""
+        (fused, exchange-codec) combination, teacher-forced and
+        autoregressive alike — also for weights that crossed a float32
+        wire."""
         batch = tiny_dataset.full_batch()
         sparse = tiny_mask.build_sparse(batch)
         dense = tiny_mask.build(batch)
         model = LTEModel(tiny_config, np.random.default_rng(5))
-        with reference_kernels(not fused), nn.use_default_dtype(exchange_dtype):
+        space = nn.FlatParameterSpace.from_module(model)
+        codec = codec_by_name(exchange_codec)
+        space.set_flat(codec.decode(codec.encode(space.get_flat())))
+        with reference_kernels(not fused):
             out_d = model(batch, dense, teacher_forcing=True)
             out_s = model(batch, sparse, teacher_forcing=True)
             model.eval()
@@ -327,7 +332,7 @@ class TestRunnerShipsDtypes:
                                                          tiny_dataset,
                                                          tiny_config,
                                                          monkeypatch):
-        """The worker-side executor re-asserts the task's exchange dtype
+        """The worker-side executor re-asserts the task's compute dtype
         (exercised in-process via the pool initializer hooks), and a
         worker's training masks are the sparse ones the parent uses."""
         from repro.core import TrainingConfig
@@ -336,7 +341,7 @@ class TestRunnerShipsDtypes:
         from repro.federated.runner import RoundTask, WorkerSetup, _init_worker
 
         task_fields = RoundTask.__dataclass_fields__
-        assert task_fields["exchange_dtype"].default == "float64"
+        assert task_fields["compute_dtype"].default == "float64"
 
         builder = ConstraintMaskBuilder(tiny_world.network, radius=400.0)
         data = ClientData(train=tiny_dataset, valid=tiny_dataset,
@@ -358,7 +363,7 @@ class TestRunnerShipsDtypes:
         original_ensure = runner_mod.TaskExecutor._ensure_model_dtype
         monkeypatch.setattr(
             runner_mod.TaskExecutor, "_ensure_model_dtype",
-            lambda self: (observed.append(nn.get_default_dtype().name),
+            lambda self: (observed.append(nn.get_compute_dtype().name),
                           original_ensure(self))[1])
         masks = []
         build_for = builder.build_for
@@ -372,16 +377,16 @@ class TestRunnerShipsDtypes:
             _init_worker(setup)
             for task_dtype, caller_dtype in (("float32", "float64"),
                                              ("float64", "float32")):
-                with nn.use_default_dtype(caller_dtype):
+                with nn.use_compute_dtype(caller_dtype):
                     runner_mod._execute_task(RoundTask(
                         client_id=0, global_flat=flat, epochs=1,
                         teacher_flat=None, session=None,
-                        exchange_dtype=task_dtype,
+                        compute_dtype=task_dtype,
                     ))
                     assert observed[-1] == task_dtype
                     # In-process execution restores the caller's dtype
                     # (a task must not leak its precision state).
-                    assert nn.get_default_dtype().name == caller_dtype
+                    assert nn.get_compute_dtype().name == caller_dtype
         finally:
             runner_mod._WORKER = saved_worker
         assert masks and all(isinstance(m, SparseConstraintMask)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import nn
 from repro.core.training import model_segment_accuracy
 from repro.federated import (
     ClientFailure,
@@ -65,7 +64,6 @@ class BarrierOracleTrainer(FederatedTrainer):
         losses: list[float] = []
         lambdas: list[float] = []
         completed: list[int] = []
-        exchange_dtype = nn.get_default_dtype()
         # Stage uploads into the preallocated slab: each screened
         # payload is cast into one float64 row, so finiteness/norm
         # validation and the FedAvg reduction run over a single
@@ -96,11 +94,8 @@ class BarrierOracleTrainer(FederatedTrainer):
                 # Privatise from the original upload object — identical
                 # RNG stream and dtype path to the per-vector era —
                 # then overwrite the (compacted) slab row.
-                flat = self.privatizer.privatize_update_flat(
+                rows[kept] = self.privatizer.privatize_update_flat(
                     result.upload_flat, reference)
-                if self.codec.is_identity:
-                    flat = np.asarray(flat, dtype=exchange_dtype)
-                rows[kept] = flat
             elif kept != row:
                 rows[kept] = rows[row]  # compact over rejected rows
             upload_bytes.append(self._upload_bytes(result))

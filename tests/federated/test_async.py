@@ -16,7 +16,6 @@ import time
 import numpy as np
 import pytest
 
-from repro import nn
 from repro.core import ConstraintMaskBuilder, LTEModel, TrainingConfig
 from repro.federated import (
     FederatedConfig,
@@ -137,19 +136,18 @@ class TestSyncEquivalence:
         {},
         {"aggregation": "fedavg"},
         {"exchange_codec": "int8"},
-        {"exchange_dtype": "float32", "privatizer": noisy_mechanism},
+        {"exchange_codec": "float32", "privatizer": noisy_mechanism},
     ], ids=["uniform", "fedavg", "int8", "float32-privatised"])
     def test_full_buffer_alpha_zero_matches_sync_bitwise(self, federation,
                                                          mask, tiny_config,
                                                          case):
         """K = cohort size, alpha = 0, no jitter: every wave dispatches
         everyone, everyone arrives, and one flush aggregates the same
-        uploads the synchronous barrier would — bit for bit.  A
-        privatised upload re-enters the exchange dtype in both modes."""
+        uploads the synchronous barrier would — bit for bit, also for a
+        privatised upload on a float32 wire."""
         clients, _ = federation
         case = dict(case)
         privatizer = case.pop("privatizer", None)
-        exchange_dtype = case.pop("exchange_dtype", "float64")
 
         def run(**kwargs):
             trainer = make_trainer(
@@ -157,11 +155,10 @@ class TestSyncEquivalence:
                 privatizer=privatizer() if privatizer else None)
             return trainer, trainer.run()
 
-        with nn.use_default_dtype(exchange_dtype):
-            sync, sync_result = run()
-            async_trainer, async_result = run(
-                async_buffer=len(clients), staleness_alpha=0.0,
-                latency="base=1,jitter=0")
+        sync, sync_result = run()
+        async_trainer, async_result = run(
+            async_buffer=len(clients), staleness_alpha=0.0,
+            latency="base=1,jitter=0")
 
         assert np.array_equal(sync.server.global_flat(dtype=np.float64),
                               async_trainer.server.global_flat(dtype=np.float64))

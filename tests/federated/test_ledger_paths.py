@@ -2,8 +2,9 @@
 
 Both the main Algorithm-3 rounds and the isolated "w/o FL" ablation now
 meter flat ``(P,)`` vectors, so their per-payload byte counts agree with
-each other and with ``P * itemsize`` — and both halve when the exchange
-dtype drops to float32.
+each other and with ``P * itemsize`` — and both halve their value bytes
+under the ``"float32"`` exchange codec, which adds its fixed header per
+payload.
 """
 
 from __future__ import annotations
@@ -11,14 +12,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import nn
 from repro.core import ConstraintMaskBuilder, LTEModel, TrainingConfig
 from repro.federated import (
+    PAYLOAD_HEADER_BYTES,
     FederatedConfig,
     FederatedTrainer,
     build_federation,
     train_isolated_then_average,
 )
+from repro.nn import FlatParameterSpace
 
 
 @pytest.fixture(scope="module")
@@ -37,12 +39,22 @@ def lte_factory(config):
     return factory
 
 
-def one_round_config():
+def one_round_config(**kwargs):
     return FederatedConfig(
         rounds=1, client_fraction=1.0, local_epochs=1,
         training=TrainingConfig(epochs=1, batch_size=8, lr=3e-3),
-        use_meta=False,
+        use_meta=False, **kwargs,
     )
+
+
+def assert_float32_halves(full, half):
+    """Every float64 payload of ``full`` is a float32 codec payload of
+    ``half``: half the value bytes plus the codec header."""
+    num_params = FlatParameterSpace.from_module(full.global_model).total_size
+    payloads = full.ledger.total_bytes // (8 * num_params)
+    assert full.ledger.total_bytes == payloads * 8 * num_params
+    assert half.ledger.total_bytes == payloads * (4 * num_params
+                                                  + PAYLOAD_HEADER_BYTES)
 
 
 class TestLedgerUnification:
@@ -78,20 +90,19 @@ class TestLedgerUnification:
 
 
 class TestFloat32Communication:
-    @pytest.mark.identity_exchange  # exchange-dtype halving only applies to raw vectors
+    @pytest.mark.identity_exchange  # the float64 baseline is the raw-vector wire
     def test_float32_exchange_halves_round_traffic(self, federation, mask,
                                                    tiny_config):
         clients, global_test = federation
 
-        def run():
+        def run(**kwargs):
             return FederatedTrainer(lte_factory(tiny_config), clients, mask,
-                                    one_round_config(), global_test,
+                                    one_round_config(**kwargs), global_test,
                                     seed=0).run()
 
         full = run()
-        with nn.use_default_dtype("float32"):
-            half = run()
-        assert half.ledger.total_bytes * 2 == full.ledger.total_bytes
+        half = run(exchange_codec="float32")
+        assert_float32_halves(full, half)
         # Reduced wire precision barely perturbs one round of training:
         # the history stays numerically close to the float64 run.
         assert half.history[0].mean_loss == pytest.approx(
@@ -99,18 +110,15 @@ class TestFloat32Communication:
         assert half.history[0].global_accuracy == pytest.approx(
             full.history[0].global_accuracy, abs=0.05)
 
-    @pytest.mark.identity_exchange  # exchange-dtype halving only applies to raw vectors
+    @pytest.mark.identity_exchange  # the float64 baseline is the raw-vector wire
     def test_float32_isolated_path_halves_too(self, federation, mask,
                                               tiny_config):
         clients, global_test = federation
 
-        def run():
+        def run(**kwargs):
             return train_isolated_then_average(
-                lte_factory(tiny_config), clients, mask, one_round_config(),
-                global_test, seed=0,
+                lte_factory(tiny_config), clients, mask,
+                one_round_config(**kwargs), global_test, seed=0,
             )
 
-        full = run()
-        with nn.use_default_dtype("float32"):
-            half = run()
-        assert half.ledger.total_bytes * 2 == full.ledger.total_bytes
+        assert_float32_halves(run(), run(exchange_codec="float32"))

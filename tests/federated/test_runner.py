@@ -15,9 +15,9 @@ import warnings
 import numpy as np
 import pytest
 
-from repro import nn
 from repro.core import ConstraintMaskBuilder, LTEModel, TrainingConfig
 from repro.federated import (
+    PAYLOAD_HEADER_BYTES,
     ArenaRunner,
     FederatedClient,
     FederatedConfig,
@@ -56,20 +56,21 @@ def lte_factory(config):
     return factory
 
 
-def fed_config(rounds=2, use_meta=False, workers=0):
+def fed_config(rounds=2, use_meta=False, workers=0, **kwargs):
     return FederatedConfig(
         rounds=rounds, client_fraction=1.0, local_epochs=1,
         training=TrainingConfig(epochs=1, batch_size=8, lr=3e-3),
-        use_meta=use_meta, workers=workers,
+        use_meta=use_meta, workers=workers, **kwargs,
     )
 
 
 def run_trainer(federation, mask, tiny_config, *, workers=0, runner=None,
-                rounds=2, use_meta=False):
+                rounds=2, use_meta=False, **kwargs):
     clients, global_test = federation
     trainer = FederatedTrainer(
         lte_factory(tiny_config), clients, mask,
-        fed_config(rounds=rounds, use_meta=use_meta, workers=workers),
+        fed_config(rounds=rounds, use_meta=use_meta, workers=workers,
+                   **kwargs),
         global_test, seed=0, runner=runner,
     )
     result = trainer.run()
@@ -269,16 +270,20 @@ class TestFloat32Exchange:
     @needs_fork
     def test_parallel_matches_serial_under_float32(self, federation, mask,
                                                    tiny_config):
-        """The exchange dtype is re-asserted inside workers, so reduced
-        precision does not break serial/parallel equivalence."""
-        with nn.use_default_dtype("float32"):
-            serial, serial_flat = run_trainer(federation, mask, tiny_config,
-                                              workers=0, rounds=2)
-            parallel, parallel_flat = run_trainer(federation, mask, tiny_config,
-                                                  workers=2, rounds=2)
+        """A float32 wire (the ``"float32"`` codec) does not break
+        serial/parallel equivalence."""
+        serial, serial_flat = run_trainer(federation, mask, tiny_config,
+                                          workers=0, rounds=2,
+                                          exchange_codec="float32")
+        parallel, parallel_flat = run_trainer(federation, mask, tiny_config,
+                                              workers=2, rounds=2,
+                                              exchange_codec="float32")
         assert serial.history == parallel.history
+        assert serial.ledger.rounds == parallel.ledger.rounds
         assert np.array_equal(serial_flat, parallel_flat)
-        assert serial_flat.dtype == np.float32
+        clients, _ = federation
+        assert serial.ledger.rounds[0].bytes_down == len(clients) * (
+            4 * serial_flat.size + PAYLOAD_HEADER_BYTES)
         # Sync-back ships the exact float64 parameters alongside the
         # float32 upload: the live clients must not get rounded.
         for cs, cp in zip(serial.clients, parallel.clients):

@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 from barrier_oracle import BarrierOracleTrainer
 
-from repro import nn
 from repro.core import ConstraintMaskBuilder, LTEModel, TrainingConfig
 from repro.federated import (
     FederatedConfig,
@@ -41,7 +40,7 @@ def mask(tiny_world):
 
 
 def run(trainer_cls, federation, mask, tiny_config, privatizer=None,
-        exchange_dtype="float64", **kwargs):
+        **kwargs):
     clients, global_test = federation
     kwargs.setdefault("rounds", 3)
     kwargs.setdefault("client_fraction", 1.0)
@@ -49,12 +48,11 @@ def run(trainer_cls, federation, mask, tiny_config, privatizer=None,
     config = FederatedConfig(
         local_epochs=1,
         training=TrainingConfig(epochs=1, batch_size=8, lr=3e-3), **kwargs)
-    with nn.use_default_dtype(exchange_dtype):
-        trainer = trainer_cls(
-            lambda: LTEModel(tiny_config, np.random.default_rng(33)), clients,
-            mask, config, global_test, seed=0,
-            privatizer=privatizer() if privatizer else None)
-        return trainer, trainer.run()
+    trainer = trainer_cls(
+        lambda: LTEModel(tiny_config, np.random.default_rng(33)), clients,
+        mask, config, global_test, seed=0,
+        privatizer=privatizer() if privatizer else None)
+    return trainer, trainer.run()
 
 
 def assert_matches_barrier_oracle(federation, mask, tiny_config, **kwargs):
@@ -93,7 +91,7 @@ def noisy_mechanism():
     {"use_meta": True, "rounds": 2},
     {"exchange_codec": "int8"},
     {"privatizer": noisy_mechanism},
-    {"privatizer": noisy_mechanism, "exchange_dtype": "float32"},
+    {"privatizer": noisy_mechanism, "exchange_codec": "float32"},
 ], ids=["plain", "fedavg", "fraction", "meta", "int8", "privatizer",
         "float32-privatised"])
 def test_barrier_matches_oracle(federation, mask, tiny_config, kwargs):

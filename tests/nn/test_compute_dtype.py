@@ -67,13 +67,16 @@ class TestDtypeConfig:
             with pytest.raises(ValueError):
                 nn.set_compute_dtype(bad)
 
-    def test_compute_and_exchange_dtypes_are_independent(self):
-        with nn.use_compute_dtype("float32"):
-            assert nn.get_default_dtype() == F64  # exchange untouched
-            with nn.use_default_dtype("float32"):
-                assert nn.get_compute_dtype() == F32
-                assert nn.get_default_dtype() == F32
-            assert nn.get_default_dtype() == F64
+    def test_context_restores_when_the_body_raises(self):
+        # The batcher's admission and step run under this context, and
+        # a malformed request may raise inside it.
+        before = nn.get_compute_dtype()
+        other = "float32" if before == F64 else "float64"
+        with pytest.raises(RuntimeError):
+            with nn.use_compute_dtype(other):
+                assert nn.get_compute_dtype() == np.dtype(other)
+                raise RuntimeError("body failed")
+        assert nn.get_compute_dtype() == before
 
 
 # ----------------------------------------------------------------------
@@ -252,14 +255,16 @@ class TestOptimizerMasterWeights:
 # serving: packed decode at float32
 # ----------------------------------------------------------------------
 class TestServingAtFloat32:
+    # The ragged set packs down to a single-row tail.
+    @pytest.mark.parametrize("dataset", ["tiny_dataset", "ragged_dataset"])
     def test_packed_matches_padded_bitwise_at_float32(self, tiny_config,
-                                                      tiny_dataset,
-                                                      tiny_world):
+                                                      tiny_world, dataset,
+                                                      request):
         with nn.use_compute_dtype("float32"):
             model = LTEModel(tiny_config, np.random.default_rng(11))
             model.eval()
             builder = ConstraintMaskBuilder(tiny_world.network, radius=400.0)
-            batch = tiny_dataset.full_batch()
+            batch = request.getfixturevalue(dataset).full_batch()
             log_mask = builder.build_for(batch, model)
             with nn.no_grad():
                 packed = decode_model(model, batch, log_mask)

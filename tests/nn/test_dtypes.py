@@ -1,18 +1,18 @@
-"""The exchange-dtype switch (first slice of the float32 story).
+"""Flat parameter vectors are float64, and the float32 wire is a codec.
 
-Training math stays float64 regardless of the knob (optimisers pass
-explicit float64 ``out`` buffers), so the equivalence tests elsewhere
-keep their tight tolerances; only payload allocation changes.  The
-federated-level effect (halved ledger bytes, serial == parallel) is
-covered in ``tests/federated``.
+Gathers allocate float64 whatever the parameters' compute dtype, so the
+optimisers' master precision and the federated exchange's exact form
+never depend on a process-global knob.  Reduced wire precision is the
+``"float32"`` exchange codec; its federated-level effect (ledger bytes,
+serial == parallel) is covered in ``tests/federated``.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro import nn
+from repro.federated import codec_by_name
 from repro.nn.flatten import FlatLayout, FlatParameterSpace
 from repro.nn.module import Parameter
 
@@ -23,77 +23,75 @@ def make_space():
     return FlatParameterSpace(params)
 
 
-class TestKnob:
-    def test_default_is_float64(self):
-        assert nn.get_default_dtype() == np.float64
+class TestFlatVectors:
+    def test_get_flat_allocates_float64_for_any_compute_dtype(self):
+        for compute in ("float64", "float32"):
+            with nn.use_compute_dtype(compute):
+                space = make_space()
+                flat = space.get_flat()
+            assert flat.dtype == np.float64
+            assert flat.nbytes == space.total_size * 8
+            np.testing.assert_array_equal(flat, np.r_[np.arange(6), np.ones(4)])
 
-    def test_set_returns_previous_and_context_restores(self):
-        previous = nn.set_default_dtype("float32")
-        try:
-            assert previous == np.float64
-            assert nn.get_default_dtype() == np.float32
-        finally:
-            nn.set_default_dtype(previous)
-        with nn.use_default_dtype(np.float32):
-            assert nn.get_default_dtype() == np.float32
-        assert nn.get_default_dtype() == np.float64
-
-    def test_rejects_non_float_dtypes(self):
-        for bad in ("int64", np.int32, "float16", "complex128"):
-            with pytest.raises(ValueError):
-                nn.set_default_dtype(bad)
-
-
-class TestFlatThreading:
-    def test_get_flat_honours_exchange_dtype(self):
+    def test_out_buffer_is_filled_in_place(self):
         space = make_space()
-        assert space.get_flat().dtype == np.float64
-        with nn.use_default_dtype("float32"):
-            flat = space.get_flat()
-        assert flat.dtype == np.float32
-        assert flat.nbytes == space.total_size * 4
+        out = np.empty(space.total_size)
+        assert space.get_flat(out=out) is out
 
-    def test_explicit_dtype_and_out_override_the_knob(self):
-        space = make_space()
-        with nn.use_default_dtype("float32"):
-            assert space.get_flat(dtype=np.float64).dtype == np.float64
-            out = np.empty(space.total_size)
-            assert space.get_flat(out=out) is out
-            assert out.dtype == np.float64
-
-    def test_float32_roundtrip_restores_parameters_within_eps(self):
-        # The contract under test is float64 *storage* with a float32
-        # wire, so pin the compute dtype rather than inherit a forced
-        # float32 substrate.
-        with nn.use_compute_dtype("float64"):
-            space = make_space()
-            original = space.get_flat(dtype=np.float64)
-            with nn.use_default_dtype("float32"):
-                wire = space.get_flat()
-                space.set_flat(wire)
-            # Parameters remain float64 storage; values rounded to float32.
-            assert space.parameters[0].data.dtype == np.float64
-            np.testing.assert_allclose(space.get_flat(dtype=np.float64),
-                                       original, rtol=1e-7)
-
-    def test_flatten_state_honours_exchange_dtype(self):
-        state = {"w": np.zeros((2, 3)), "b": np.ones(4)}
+    def test_flatten_state_allocates_float64(self):
+        state = {"w": np.zeros((2, 3), dtype=np.float32), "b": np.ones(4)}
         layout = FlatLayout.from_state(state)
         assert layout.flatten_state(state).dtype == np.float64
-        with nn.use_default_dtype("float32"):
-            assert layout.flatten_state(state).dtype == np.float32
         # unflatten always restores float64 state arrays.
         assert layout.unflatten(np.zeros(10, dtype=np.float32))["w"].dtype == np.float64
 
-    def test_optimizer_math_stays_float64_under_float32_exchange(self):
+    def test_float32_codec_roundtrip_restores_parameters_within_eps(self):
+        # The contract under test is float64 *storage* with a float32
+        # wire, so pin the compute dtype rather than inherit a forced
+        # float32 substrate.
+        codec = codec_by_name("float32")
+        with nn.use_compute_dtype("float64"):
+            space = make_space()
+            original = space.get_flat()
+            payload = codec.encode(original)
+            assert payload.values.dtype == np.float32
+            space.set_flat(codec.decode(payload))
+            # Parameters remain float64 storage; values rounded to float32.
+            assert space.parameters[0].data.dtype == np.float64
+            np.testing.assert_allclose(space.get_flat(), original, rtol=1e-7)
+
+    def test_set_flat_rounds_into_each_parameter_storage_dtype(self):
+        # set_flat is where float64 master values meet the storage
+        # dtype: a float32 parameter rounds, a float64 one stays exact,
+        # and the gather upcasts the float32 slice exactly.
+        with nn.use_compute_dtype("float32"):
+            narrow = Parameter(np.zeros(3), name="narrow")
+        with nn.use_compute_dtype("float64"):
+            wide = Parameter(np.zeros(2), name="wide")
+        space = FlatParameterSpace([narrow, wide])
+        vec = np.full(5, 1.0 / 3.0)
+        space.set_flat(vec)
+        assert narrow.data.dtype == np.float32
+        assert wide.data.dtype == np.float64
+        np.testing.assert_array_equal(narrow.data, np.float32(1.0 / 3.0))
+        np.testing.assert_array_equal(wide.data, vec[3:])
+        flat = space.get_flat()
+        assert flat.dtype == np.float64
+        np.testing.assert_array_equal(flat[:3], np.float64(np.float32(1.0 / 3.0)))
+        np.testing.assert_array_equal(flat[3:], vec[3:])
+
+    def test_optimizer_math_stays_float64_under_float32_codec(self):
         # Float64-storage contract: pin the compute dtype (the float32
         # substrate's master-weight contract is covered in
-        # tests/nn/test_compute_dtype.py).
+        # tests/nn/test_compute_dtype.py).  A float32-rounded global
+        # from the wire must not narrow the optimiser's state.
+        codec = codec_by_name("float32")
         with nn.use_compute_dtype("float64"):
-            params = [Parameter(np.ones(8), name="w")]
+            params = [Parameter(np.full(8, 1.0 / 3.0), name="w")]
+            space = FlatParameterSpace(params)
+            space.set_flat(codec.decode(codec.encode(space.get_flat())))
             optimizer = nn.Adam(params, lr=1e-2)
             params[0].grad = np.full(8, 0.5)
-            with nn.use_default_dtype("float32"):
-                optimizer.step()
+            optimizer.step()
             assert params[0].data.dtype == np.float64
             assert optimizer._m_flat.dtype == np.float64

@@ -9,9 +9,9 @@ weaker historical contract; equality satisfies them).  The padded
 oracle is the model's own ``forward(teacher_forcing=False)`` under
 ``no_grad``.  Covered matrix: uneven lengths, empty-radius fallback
 mask rows, sparse/dense masks, the per-step reference kernels
-(``reference_paths``), the baselines' grad-enabled tape loops, float32
-exchange mode, all autoregressive models, and the decode_batch
-chunking knob.
+(``reference_paths``), the baselines' grad-enabled tape loops, all
+autoregressive models, and the decode_batch chunking knob (float32
+compute: ``tests/nn/test_compute_dtype.py``).
 """
 
 from __future__ import annotations
@@ -25,25 +25,8 @@ from repro.baselines.rnn import RNNRecoveryModel
 from repro.baselines.rntrajrec import RNTrajRecModel
 from repro.core import ConstraintMaskBuilder, LTEModel
 from repro.data import TrajectoryDataset
-from repro.data.trajectory import MatchedTrajectory
 from repro.serving import DecodeSession, GreedyEmission, decode_model
 from reference_paths import reference_kernels
-
-#: Uneven trajectory lengths, with a strictly longest one so the packed
-#: working set eventually compacts all the way down to a single row
-#: (exercising the single-row BLAS guard).
-RAGGED_LENGTHS = (5, 9, 17, 12, 7, 15, 4, 11)
-
-
-@pytest.fixture(scope="module")
-def ragged_dataset(tiny_world):
-    trimmed = []
-    for i, traj in enumerate(tiny_world.matched):
-        n = RAGGED_LENGTHS[i % len(RAGGED_LENGTHS)]
-        trimmed.append(MatchedTrajectory(traj.traj_id, traj.driver_id,
-                                         traj.epsilon, traj.points[:n]))
-    return TrajectoryDataset.from_matched(trimmed, tiny_world.grid,
-                                          tiny_world.network, keep_ratio=0.25)
 
 
 @pytest.fixture(scope="module")
@@ -181,14 +164,6 @@ class TestPackedVsPadded:
         valid = batch.tgt_mask
         np.testing.assert_array_equal(packed.segments[valid],
                                       dense.segments[valid])
-
-    def test_float32_exchange_mode(self, lte, ragged_dataset, tiny_mask):
-        batch = ragged_dataset.full_batch()
-        log_mask = tiny_mask.build_for(batch, lte)
-        with nn.use_default_dtype("float32"):
-            packed = _decode(lte, batch, log_mask, packed=True)
-            padded = _decode(lte, batch, log_mask, packed=False)
-        _assert_valid_steps_bitwise(packed, padded, batch)
 
     def test_fused_off_falls_back_to_reference(self, lte, ragged_dataset,
                                                tiny_mask, float_tol):

@@ -20,7 +20,6 @@ from repro.core import recovery as recovery_module
 from repro.core import training as training_module
 from repro.core.training import model_segment_accuracy
 from repro.data import TrajectoryDataset
-from repro.data.trajectory import MatchedTrajectory
 from repro.metrics import evaluate_model
 from repro.metrics import evaluation as evaluation_module
 from repro.serving import decode_model
@@ -30,18 +29,6 @@ def _padded_decode(model, batch, log_mask, **_):
     """The padded full-length oracle, in ``decode_model``'s signature."""
     with nn.no_grad():
         return model(batch, log_mask, teacher_forcing=False)
-
-
-@pytest.fixture(scope="module")
-def ragged_dataset(tiny_world):
-    lengths = (5, 9, 17, 12, 7, 15, 4, 11)
-    trimmed = [
-        MatchedTrajectory(t.traj_id, t.driver_id, t.epsilon,
-                          t.points[:lengths[i % len(lengths)]])
-        for i, t in enumerate(tiny_world.matched)
-    ]
-    return TrajectoryDataset.from_matched(trimmed, tiny_world.grid,
-                                          tiny_world.network, keep_ratio=0.25)
 
 
 @pytest.fixture(scope="module")

@@ -3,7 +3,10 @@
 
 Statically verifies every checkable claim in the documentation:
 
-* fenced ``python`` code blocks must compile;
+* fenced ``python`` code blocks must parse, every attribute chain
+  rooted at a name imported from ``repro`` (``from repro import nn`` /
+  ``nn.set_compute_dtype``) must resolve, and a call to one must pass
+  only keywords its signature accepts;
 * ``python <script>`` / ``python -m <module>`` lines in fenced ``bash``
   blocks must point at an existing script / importable module, and any
   ``--flags`` they pass must exist in that module's CLI source;
@@ -30,8 +33,10 @@ one ``file: problem`` line each.
 
 from __future__ import annotations
 
+import ast
 import importlib
 import importlib.util
+import inspect
 import os
 import re
 import shlex
@@ -86,10 +91,14 @@ def _importable(module: str) -> bool:
         return False
 
 
-def _resolves(name: str) -> bool:
-    """Whether dotted ``name`` is a module, or an attribute chain under
-    its longest importable module prefix (annotation-only dataclass
-    fields count as attributes)."""
+_MISSING = object()
+
+
+def _lookup(name: str):
+    """The object dotted ``name`` names — a module, or an attribute
+    chain under its longest importable module prefix — else
+    ``_MISSING``.  An annotation-only dataclass field resolves to
+    ``None``."""
     parts = name.split(".")
     for split in range(len(parts), 0, -1):
         try:
@@ -102,9 +111,89 @@ def _resolves(name: str) -> bool:
             elif attr in getattr(obj, "__annotations__", {}):
                 obj = None  # a field without a class-level default
             else:
-                return False
-        return True
-    return False
+                return _MISSING
+        return obj
+    return _MISSING
+
+
+def _resolves(name: str) -> bool:
+    return _lookup(name) is not _MISSING
+
+
+def _unknown_keywords(name: str, keywords: list[str]) -> list[str]:
+    """Keywords from ``keywords`` that the callable ``name`` resolves to
+    does not accept (none when it takes ``**kwargs`` or has no
+    inspectable signature)."""
+    obj = _lookup(name)
+    try:
+        params = inspect.signature(obj).parameters.values()
+    except (TypeError, ValueError):
+        return []
+    if any(p.kind is p.VAR_KEYWORD for p in params):
+        return []
+    accepted = {p.name for p in params if p.kind is not p.POSITIONAL_ONLY}
+    return [keyword for keyword in keywords if keyword not in accepted]
+
+
+def _dotted(node: ast.expr) -> list[str] | None:
+    """``["a", "b", "c"]`` for the expression ``a.b.c``, else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    parts.append(node.id)
+    return parts[::-1]
+
+
+def _check_python_block(doc: str, body: str, errors: list[str]) -> None:
+    """A python block must parse, and what it uses of ``repro`` must
+    exist: imported names, every attribute chain rooted at one, and the
+    keyword arguments of every call to one."""
+    try:
+        tree = ast.parse(body, f"<{doc} python block>")
+    except SyntaxError as exc:
+        errors.append(f"{doc}: python block does not compile: {exc}")
+        return
+    bound: dict[str, str] = {}  # local name -> dotted repro path
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "repro":
+                    if alias.asname:
+                        bound[alias.asname] = alias.name
+                    else:
+                        bound["repro"] = "repro"
+        elif (isinstance(node, ast.ImportFrom) and not node.level
+              and node.module.split(".")[0] == "repro"):
+            for alias in node.names:
+                if alias.name != "*":
+                    bound[alias.asname or alias.name] = (
+                        f"{node.module}.{alias.name}")
+    def chain(node: ast.expr) -> str | None:
+        parts = _dotted(node)
+        if parts and parts[0] in bound:
+            return ".".join([bound[parts[0]], *parts[1:]])
+        return None
+
+    chains = set(bound.values())
+    calls: list[tuple[str, list[str]]] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and chain(node):
+            chains.add(chain(node))
+        elif isinstance(node, ast.Call) and chain(node.func):
+            calls.append((chain(node.func),
+                          [k.arg for k in node.keywords if k.arg]))
+    broken = sorted(chain for chain in chains if not _resolves(chain))
+    for name in broken:
+        if not any(name.startswith(other + ".") for other in broken):
+            errors.append(f"{doc}: python block uses {name!r}, which "
+                          f"does not resolve")
+    for name, keywords in calls:
+        for keyword in _unknown_keywords(name, keywords):
+            errors.append(f"{doc}: python block passes {keyword}= to "
+                          f"{name!r}, which does not accept it")
 
 
 def _declared_markers() -> set[str]:
@@ -256,10 +345,7 @@ def check_docs(doc_files=DOC_FILES) -> list[str]:
             text = handle.read()
         for language, body in _fenced_blocks(text):
             if language == "python":
-                try:
-                    compile(body, f"<{doc} python block>", "exec")
-                except SyntaxError as exc:
-                    errors.append(f"{doc}: python block does not compile: {exc}")
+                _check_python_block(doc, body, errors)
             elif language in ("bash", "sh", "shell", ""):
                 for line in body.splitlines():
                     _check_bash_line(doc, line, errors)
