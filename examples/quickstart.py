@@ -44,8 +44,7 @@ def main() -> None:
     matcher = HMMMapMatcher(world.network, sigma=10.0)
     matched = matcher.match(world.raw[0])
     truth = world.matched[0]
-    agreement = np.mean([a.segment_id == b.segment_id
-                         for a, b in zip(matched.points, truth.points)])
+    agreement = np.mean(matched.segment_ids == truth.segment_ids)
     print(f"HMM map matching segment agreement vs ground truth: {agreement:.1%}")
 
     # 3. Downsample (keep ratio 25% -> recover 3 of every 4 points) and encode.
@@ -83,7 +82,7 @@ def main() -> None:
     recovered = recovery.recover_dataset(test)[0]
     print(f"recovered trajectory {recovered.traj_id}: "
           f"{len(recovered.recovered_indices)} points restored, "
-          f"segments {recovered.trajectory.segment_ids()[:10]}...")
+          f"segments {recovered.trajectory.segment_ids[:10].tolist()}...")
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ import numpy as np
 
 from .. import nn
 from ..data.dataset import Batch, TrajectoryDataset
-from ..data.trajectory import MatchedPoint, MatchedTrajectory
+from ..data.trajectory import MatchedTrajectory
 from ..serving import decode_model
 from .base import RecoveryModel
 from .mask import ConstraintMaskBuilder
@@ -82,19 +82,14 @@ class TrajectoryRecovery:
             return []
         batch = dataset.full_batch()
         segments, ratios = self.predict_batch(batch, decode_batch=decode_batch)
+        steps = np.arange(segments.shape[1])
+        times = steps * epsilon
         results = []
-        for example, segment_row, ratio_row in zip(
-                dataset.examples, segments.tolist(), ratios.tolist()):
-            points = tuple(
-                MatchedPoint(segment_id, ratio, j * epsilon, j)
-                for j, segment_id, ratio in zip(
-                    range(example.full_length), segment_row, ratio_row)
-            )
-            recovered = MatchedTrajectory(
-                traj_id=example.traj_id,
-                driver_id=example.driver_id,
-                epsilon=epsilon,
-                points=points,
+        for example, segment_row, ratio_row in zip(dataset.examples, segments, ratios):
+            n = example.full_length
+            recovered = MatchedTrajectory.from_columns(
+                example.traj_id, example.driver_id, epsilon,
+                segment_row[:n], ratio_row[:n], times[:n], steps[:n],
             )
             missing = tuple(np.flatnonzero(~example.observed_flags).tolist())
             results.append(RecoveredTrajectory(

@@ -18,7 +18,7 @@ import numpy as np
 from ..nn.dtypes import get_compute_dtype
 from ..spatial.grid import Grid
 from ..spatial.roadnet import RoadNetwork
-from .downsample import downsample
+from .downsample import strided_flags, stride_for_keep_ratio
 from .trajectory import IncompleteTrajectory, MatchedTrajectory
 
 __all__ = ["RecoveryExample", "Batch", "TrajectoryDataset", "encode_example"]
@@ -79,45 +79,60 @@ class Batch:
 def encode_example(incomplete: IncompleteTrajectory, grid: Grid,
                    network: RoadNetwork) -> RecoveryExample:
     """Encode an incomplete trajectory and its ground truth into arrays."""
-    source = incomplete.source
-    n_full = incomplete.full_length
-    obs_idx = np.asarray(incomplete.observed_indices, dtype=np.int64)
-
-    positions = np.array(
-        [[p.x, p.y] for p in source.positions(network)], dtype=np.float64
-    )
-    obs_xy = positions[obs_idx]
-    obs_cells = np.array(
-        [grid.cell_id(source.points[i].position(network)) for i in obs_idx],
-        dtype=np.int64,
-    )
-    obs_tids = np.array([source.points[i].tid for i in obs_idx], dtype=np.int64)
-
-    guide = _interpolate_guides(obs_idx, obs_xy, n_full)
-
-    return RecoveryExample(
-        traj_id=source.traj_id,
-        driver_id=source.driver_id,
-        obs_cells=obs_cells,
-        obs_tids=obs_tids,
-        obs_xy=obs_xy,
-        tgt_segments=np.array(source.segment_ids(), dtype=np.int64),
-        tgt_ratios=np.array(source.ratios(), dtype=np.float64),
-        observed_flags=np.array(incomplete.observed_flags(), dtype=bool),
-        guide_xy=guide,
-    )
+    observed = np.zeros(incomplete.full_length, dtype=bool)
+    observed[list(incomplete.observed_indices)] = True
+    return _encode([incomplete.source], observed, grid, network)[0]
 
 
-def _interpolate_guides(obs_idx: np.ndarray, obs_xy: np.ndarray, n_full: int) -> np.ndarray:
-    """Linear interpolation of observed positions at every timestep.
+def _encode(sources: list[MatchedTrajectory], observed: np.ndarray, grid: Grid,
+            network: RoadNetwork) -> list[RecoveryExample]:
+    """Encode trajectories in array passes over their concatenated points.
 
-    This approximates where the vehicle plausibly was between two
-    observations and anchors the constraint mask there.
+    ``observed`` flags the kept points of all ``sources`` back to back;
+    each trajectory's first and last points must be among them.  Cells
+    and positions come from one ``cell_ids`` / ``positions_at`` call,
+    and the guide from one ``np.interp`` per axis over the global point
+    index: every trajectory is bracketed by its observed endpoints, so
+    no interpolation interval crosses two trajectories, and the integer
+    offsets cancel exactly in ``x - xp``.  The examples are read-only
+    views into the shared arrays.
     """
-    steps = np.arange(n_full, dtype=np.float64)
-    gx = np.interp(steps, obs_idx.astype(np.float64), obs_xy[:, 0])
-    gy = np.interp(steps, obs_idx.astype(np.float64), obs_xy[:, 1])
-    return np.stack([gx, gy], axis=1)
+    if not sources:
+        return []
+    ends = np.cumsum([len(t) for t in sources]).tolist()
+    segments = _frozen(np.concatenate([t.segment_ids for t in sources]))
+    ratios = _frozen(np.concatenate([t.ratios for t in sources]))
+    flags = _frozen(np.array(observed, dtype=bool))
+    obs = np.flatnonzero(flags)
+    obs_xy = _frozen(network.positions_at(segments[obs], ratios[obs]))
+    obs_cells = _frozen(grid.cell_ids(obs_xy[:, 0], obs_xy[:, 1]))
+    obs_tids = _frozen(np.concatenate([t.tids for t in sources])[obs])
+    steps = np.arange(len(flags), dtype=np.float64)
+    obs_steps = obs.astype(np.float64)
+    guide = _frozen(np.stack([np.interp(steps, obs_steps, obs_xy[:, 0]),
+                              np.interp(steps, obs_steps, obs_xy[:, 1])], axis=1))
+    obs_ends = np.searchsorted(obs, ends).tolist()
+    examples = []
+    a = oa = 0
+    for source, b, ob in zip(sources, ends, obs_ends):
+        examples.append(RecoveryExample(
+            traj_id=source.traj_id,
+            driver_id=source.driver_id,
+            obs_cells=obs_cells[oa:ob],
+            obs_tids=obs_tids[oa:ob],
+            obs_xy=obs_xy[oa:ob],
+            tgt_segments=segments[a:b],
+            tgt_ratios=ratios[a:b],
+            observed_flags=flags[a:b],
+            guide_xy=guide[a:b],
+        ))
+        a, oa = b, ob
+    return examples
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 #: Upper bound on memoised collated batches per dataset.  Shuffled epoch
@@ -172,12 +187,19 @@ class TrajectoryDataset:
     @classmethod
     def from_matched(cls, trajectories: list[MatchedTrajectory], grid: Grid,
                      network: RoadNetwork, keep_ratio: float) -> "TrajectoryDataset":
-        """Downsample and encode complete trajectories into a dataset."""
-        examples = [
-            encode_example(downsample(traj, keep_ratio), grid, network)
-            for traj in trajectories
-        ]
-        return cls(examples, grid, network, keep_ratio)
+        """Downsample and encode complete trajectories into a dataset.
+
+        One array pass over every point: the strided keep rule of
+        :func:`~repro.data.downsample.downsample` flags the observed
+        points, then :func:`encode_example`'s encoder runs once.
+        """
+        stride = stride_for_keep_ratio(keep_ratio)
+        lengths = np.array([len(t) for t in trajectories], dtype=np.int64)
+        length = np.repeat(lengths, lengths)
+        index = np.arange(len(length)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+        observed = strided_flags(index, length, stride)
+        return cls(_encode(trajectories, observed, grid, network), grid, network,
+                   keep_ratio)
 
     def split(self, fractions: tuple[float, float, float] = (0.7, 0.2, 0.1),
               rng: np.random.Generator | None = None

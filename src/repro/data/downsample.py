@@ -13,7 +13,8 @@ import numpy as np
 
 from .trajectory import IncompleteTrajectory, MatchedTrajectory
 
-__all__ = ["downsample", "downsample_random", "stride_for_keep_ratio", "KEEP_RATIOS"]
+__all__ = ["downsample", "downsample_random", "stride_for_keep_ratio", "strided_flags",
+           "KEEP_RATIOS"]
 
 #: The keep ratios evaluated in the paper (Tables IV/VI).
 KEEP_RATIOS = (0.0625, 0.125, 0.25)
@@ -26,6 +27,17 @@ def stride_for_keep_ratio(keep_ratio: float) -> int:
     return max(1, int(round(1.0 / keep_ratio)))
 
 
+def strided_flags(index: np.ndarray, length: np.ndarray, stride: int) -> np.ndarray:
+    """The strided keep rule, elementwise: is point ``index`` of a
+    trajectory of ``length`` points observed?
+
+    Keeps indices ``0, k, 2k, ...`` and always the final point.  The
+    arguments broadcast, so one call covers every point of many
+    trajectories (``TrajectoryDataset.from_matched``).
+    """
+    return (index % stride == 0) | (index == length - 1)
+
+
 def downsample(trajectory: MatchedTrajectory, keep_ratio: float) -> IncompleteTrajectory:
     """Deterministic strided downsampling (the paper's evaluation setting).
 
@@ -34,12 +46,10 @@ def downsample(trajectory: MatchedTrajectory, keep_ratio: float) -> IncompleteTr
     """
     stride = stride_for_keep_ratio(keep_ratio)
     n = len(trajectory)
-    indices = list(range(0, n, stride))
-    if indices[-1] != n - 1:
-        indices.append(n - 1)
+    indices = np.flatnonzero(strided_flags(np.arange(n), n, stride))
     return IncompleteTrajectory(
         source=trajectory,
-        observed_indices=tuple(indices),
+        observed_indices=tuple(indices.tolist()),
         keep_ratio=keep_ratio,
     )
 
@@ -51,12 +61,16 @@ def downsample_random(trajectory: MatchedTrajectory, keep_ratio: float,
     Each interior point survives independently with probability
     ``keep_ratio``, matching the paper's "randomly remove points"
     wording; at least one interior point is kept when possible so
-    sequences never collapse to bare endpoints on long trajectories.
+    sequences never collapse to bare endpoints on long trajectories: when
+    no interior point survives and ``n > 2``, one interior index is drawn
+    with ``rng.integers(1, n - 1)`` (the only extra draw).
     """
     if not 0.0 < keep_ratio <= 1.0:
         raise ValueError(f"keep ratio must be in (0, 1], got {keep_ratio}")
     n = len(trajectory)
     interior = [i for i in range(1, n - 1) if rng.random() < keep_ratio]
+    if not interior and n > 2:
+        interior = [int(rng.integers(1, n - 1))]
     indices = [0, *interior, n - 1]
     return IncompleteTrajectory(
         source=trajectory,

@@ -124,9 +124,9 @@ def save_trajectories_csv(trajectories: list[RawTrajectory], path: str) -> None:
         writer = csv.writer(handle)
         writer.writerow(["traj_id", "driver_id", "x", "y", "t"])
         for traj in trajectories:
-            for p in traj.points:
+            for x, y, t in zip(traj.x.tolist(), traj.y.tolist(), traj.t.tolist()):
                 writer.writerow([traj.traj_id, traj.driver_id,
-                                 repr(p.x), repr(p.y), repr(p.t)])
+                                 repr(x), repr(y), repr(t)])
 
 
 def load_trajectories_csv(path: str) -> list[RawTrajectory]:
@@ -135,7 +135,7 @@ def load_trajectories_csv(path: str) -> list[RawTrajectory]:
     Points are grouped by ``traj_id``; each group must be a valid
     trajectory (>= 2 points, strictly increasing timestamps).
     """
-    groups: dict[int, tuple[int, list[RawPoint]]] = {}
+    groups: dict[int, tuple[int, list[float], list[float], list[float]]] = {}
     with open(path, "r", newline="") as handle:
         reader = csv.DictReader(handle)
         required = {"traj_id", "driver_id", "x", "y", "t"}
@@ -144,14 +144,15 @@ def load_trajectories_csv(path: str) -> list[RawTrajectory]:
                              f"{sorted(required)}")
         for row in reader:
             traj_id = int(row["traj_id"])
-            driver_id, points = groups.setdefault(
-                traj_id, (int(row["driver_id"]), [])
+            _, xs, ys, ts = groups.setdefault(
+                traj_id, (int(row["driver_id"]), [], [], [])
             )
-            points.append(RawPoint(float(row["x"]), float(row["y"]),
-                                   float(row["t"])))
+            xs.append(float(row["x"]))
+            ys.append(float(row["y"]))
+            ts.append(float(row["t"]))
     return [
-        RawTrajectory(traj_id=tid, driver_id=driver, points=tuple(points))
-        for tid, (driver, points) in sorted(groups.items())
+        RawTrajectory.from_columns(tid, driver, xs, ys, ts)
+        for tid, (driver, xs, ys, ts) in sorted(groups.items())
     ]
 
 

@@ -29,11 +29,18 @@ uniforms (start ratio, start time, speed factor), then per point two
 GPS-noise normals and one distance uniform, and per segment change a
 forward-gate ``random()`` (only when a non-U-turn way exists) and the
 pick's ``random()``.  A pick is ``cdf.searchsorted(random(),
-side="right")``, the draw ``Generator.choice(n, p=)`` makes, and a trip
+side="right")``, the draw ``Generator.choice(n, p=)`` makes, a trip
 uniform is ``lo + (hi - lo) * random()``, the draw
-``Generator.uniform`` makes.  ``tests/data/test_synthetic_stream.py``
-pins both identities and checks the generator bit for bit against the
-original scalar walker in ``tests/data/synthetic_oracle.py``.
+``Generator.uniform`` makes, and a noise pair is ``0.0 + std *
+standard_normal(2)``, the draw ``Generator.normal(0.0, std, 2)`` makes.
+``tests/data/test_synthetic_stream.py`` pins the three identities and
+checks the generator bit for bit against the original scalar walker in
+``tests/data/synthetic_oracle.py``.
+
+A trip's points are collected as plain lists and stored as trajectory
+columns (:mod:`repro.data.trajectory`); the raw fixes are the matched
+positions from ``RoadNetwork.positions_at`` plus the scaled noise, the
+scalar walker's ``(start + r * delta) + noise`` in array form.
 """
 
 from __future__ import annotations
@@ -45,7 +52,7 @@ import numpy as np
 from ..spatial.generators import grid_city
 from ..spatial.grid import Grid
 from ..spatial.roadnet import RoadNetwork, RoadSegment
-from .trajectory import MatchedPoint, MatchedTrajectory, RawPoint, RawTrajectory
+from .trajectory import MatchedTrajectory, RawTrajectory
 
 __all__ = ["DriverProfile", "SyntheticConfig", "SyntheticDataset", "generate_dataset",
            "geolife_like", "tdrive_like"]
@@ -225,23 +232,20 @@ def _uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
 
 
 class _WalkTable:
-    """Walk table of one segment: its geometry and the ways on.
+    """Walk table of one segment: its length and the ways on.
 
     ``successors`` are the segments leaving its end node and ``forward``
     those that do not U-turn; each ``*_cos`` list holds the cosine
     between this segment's direction and the candidate's.
     """
 
-    __slots__ = ("x", "y", "dx", "dy", "length", "successors", "successor_cos",
-                 "forward", "forward_cos")
+    __slots__ = ("length", "successors", "successor_cos", "forward", "forward_cos")
 
     def __init__(self, network: RoadNetwork, segment: RoadSegment):
-        self.x, self.y = segment.start.x, segment.start.y
-        self.dx, self.dy = segment.end.x - segment.start.x, segment.end.y - segment.start.y
         self.length = max(segment.length, 1e-6)
         self.successors = network.successors(segment.segment_id)
         self.forward = [s for s in self.successors if s.end_node != segment.start_node]
-        cur_dir = np.array([self.dx, self.dy])
+        cur_dir = np.array([segment.end.x - segment.start.x, segment.end.y - segment.start.y])
         cur_norm = np.linalg.norm(cur_dir) + 1e-9
 
         def cosine(seg: RoadSegment) -> float:
@@ -303,16 +307,16 @@ class _Walker:
         t0 = _uniform(rng, 0.0, 86_400.0)
         speed = self.driver.speed_mps * _uniform(rng, 0.85, 1.15)
 
-        matched_points: list[MatchedPoint] = []
-        raw_points: list[RawPoint] = []
-        for i in range(config.points_per_trajectory):
-            t = t0 + i * config.epsilon
-            matched_points.append(MatchedPoint(segment.segment_id, ratio, t, tid=i))
-            # ``RoadSegment.position_at``: the ratio clamped to [0, 1].
-            r = min(1.0, max(0.0, ratio))
-            noise_x, noise_y = rng.normal(0.0, config.gps_noise_std, size=2).tolist()
-            raw_points.append(RawPoint(table.x + r * table.dx + noise_x,
-                                       table.y + r * table.dy + noise_y, t))
+        n = config.points_per_trajectory
+        segment_ids: list[int] = []
+        ratios: list[float] = []
+        noise: list[np.ndarray] = []
+        for _ in range(n):
+            segment_ids.append(segment.segment_id)
+            ratios.append(ratio)
+            # ``rng.normal(0.0, std, size=2)`` is ``0.0 + std * z`` over
+            # the same two standard-normal draws; the scaling runs below.
+            noise.append(rng.standard_normal(2))
 
             # Advance along the network for epsilon seconds.
             remaining = speed * config.epsilon * _uniform(rng, 0.8, 1.2)
@@ -328,10 +332,13 @@ class _Walker:
                     segment = self._next(segment, table)
                     table = self.tables[segment.segment_id]
                     ratio = 0.0
-        matched = MatchedTrajectory(
-            traj_id=traj_id, driver_id=self.driver.driver_id,
-            epsilon=config.epsilon, points=tuple(matched_points),
-        )
-        raw = RawTrajectory(traj_id=traj_id, driver_id=self.driver.driver_id,
-                            points=tuple(raw_points))
+        times = t0 + np.arange(n) * config.epsilon
+        # The raw fix is the matched position plus the noise, in the
+        # scalar walker's order: ``(start + r * delta) + noise``.
+        raw_xy = (self.network.positions_at(segment_ids, ratios)
+                  + (0.0 + config.gps_noise_std * np.array(noise)))
+        driver_id = self.driver.driver_id
+        matched = MatchedTrajectory.from_columns(
+            traj_id, driver_id, config.epsilon, segment_ids, ratios, times, np.arange(n))
+        raw = RawTrajectory.from_columns(traj_id, driver_id, raw_xy[:, 0], raw_xy[:, 1], times)
         return matched, raw

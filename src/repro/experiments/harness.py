@@ -491,12 +491,7 @@ def run_case_study(context: ExperimentContext, dataset_name: str = "tdrive",
     example = global_test.examples[0]
     single = type(global_test)([example], global_test.grid, network, keep_ratio)
 
-    truth_xy = np.array([
-        [p.x, p.y] for p in (
-            network.position_at(int(s), float(r))
-            for s, r in zip(example.tgt_segments, example.tgt_ratios)
-        )
-    ])
+    truth_xy = network.positions_at(example.tgt_segments, example.tgt_ratios)
     observed_xy = example.obs_xy.copy()
 
     predictions: dict[str, np.ndarray] = {}
@@ -513,9 +508,8 @@ def run_case_study(context: ExperimentContext, dataset_name: str = "tdrive",
                                       seed=context.scale.seed).run()
             recovery = TrajectoryRecovery(result.global_model, mask)
             recovered = recovery.recover_dataset(single)[0].trajectory
-            predictions[method] = np.array([
-                [p.x, p.y] for p in recovered.positions(network)
-            ])
+            predictions[method] = network.positions_at(recovered.segment_ids,
+                                                       recovered.ratios)
     return {
         "ground_truth": truth_xy,
         "observed": observed_xy,

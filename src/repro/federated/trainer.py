@@ -309,6 +309,16 @@ def build_federation(dataset: SyntheticDataset, num_clients: int,
 class FederatedTrainer:
     """Runs LightTR federated training end to end."""
 
+    @property
+    def clients(self) -> LazyClientList:
+        """Read-only view materialising clients from their shards.
+
+        Built per access rather than stored: a stored view would point
+        back at the trainer, and that cycle kept a finished federation
+        (world, datasets, models) alive until a full garbage collection.
+        """
+        return LazyClientList(self)
+
     def __init__(self, model_factory: Callable[[], RecoveryModel],
                  client_data: list[ClientData],
                  mask_builder: ConstraintMaskBuilder,
@@ -362,7 +372,6 @@ class FederatedTrainer:
             )
             for i, data in enumerate(self._client_data)
         ]
-        self.clients = LazyClientList(self)
         # Each flush stages its uploads into a preallocated float64
         # slab, so the FedAvg reduction runs over one contiguous
         # (C, P) matrix.

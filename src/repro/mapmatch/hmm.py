@@ -18,7 +18,7 @@ import numpy as np
 from ..spatial.geometry import Point
 from ..spatial.index import SegmentIndex
 from ..spatial.roadnet import RoadNetwork
-from ..data.trajectory import MatchedPoint, MatchedTrajectory, RawTrajectory
+from ..data.trajectory import MatchedTrajectory, RawTrajectory
 
 __all__ = ["HMMMapMatcher", "MatchCandidate"]
 
@@ -88,7 +88,7 @@ class HMMMapMatcher:
 
     def match(self, raw: RawTrajectory) -> MatchedTrajectory:
         """Match a raw trajectory onto the network via Viterbi decoding."""
-        points = [p.as_point() for p in raw.points]
+        points = [Point(x, y) for x, y in zip(raw.x.tolist(), raw.y.tolist())]
         layers = self._candidate_layers(points)
         empty = [i for i, layer in enumerate(layers) if not layer]
         if empty:
@@ -96,18 +96,11 @@ class HMMMapMatcher:
 
         chosen = self._viterbi(points, layers)
 
-        t0 = raw.points[0].t
         epsilon = self._estimate_epsilon(raw)
-        matched_points = []
-        for i, cand in enumerate(chosen):
-            t = raw.points[i].t
-            tid = int(math.floor((t - t0) / epsilon + 0.5))
-            matched_points.append(
-                MatchedPoint(cand.segment_id, cand.ratio, t, tid)
-            )
-        return MatchedTrajectory(
-            traj_id=raw.traj_id, driver_id=raw.driver_id,
-            epsilon=epsilon, points=tuple(matched_points),
+        tids = np.floor((raw.t - raw.t[0]) / epsilon + 0.5).astype(np.int64)
+        return MatchedTrajectory.from_columns(
+            raw.traj_id, raw.driver_id, epsilon,
+            [c.segment_id for c in chosen], [c.ratio for c in chosen], raw.t, tids,
         )
 
     # ------------------------------------------------------------------
@@ -153,5 +146,4 @@ class HMMMapMatcher:
     @staticmethod
     def _estimate_epsilon(raw: RawTrajectory) -> float:
         """Median inter-point interval (the nominal sampling rate)."""
-        times = np.array([p.t for p in raw.points])
-        return float(np.median(np.diff(times)))
+        return float(np.median(np.diff(raw.t)))

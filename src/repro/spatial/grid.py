@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .geometry import Point
 
 __all__ = ["Grid"]
@@ -67,6 +69,21 @@ class Grid:
         """Return the flat cell id of ``point`` (row-major)."""
         col, row = self.cell_of(point)
         return row * self.num_cols + col
+
+    def cell_ids(self, xs, ys) -> np.ndarray:
+        """Flat cell ids of many points, as an int64 array.
+
+        Element ``i`` is bitwise ``cell_id(Point(xs[i], ys[i]))``: the
+        same float floor division and the same clamping.
+        """
+        xs = np.asarray(xs, dtype=np.float64)
+        ys = np.asarray(ys, dtype=np.float64)
+        if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+            raise ValueError("cannot place a non-finite coordinate in a cell")
+        num_cols = self.num_cols
+        cols = np.clip((xs - self.min_x) // self.cell_size, 0, num_cols - 1)
+        rows = np.clip((ys - self.min_y) // self.cell_size, 0, self.num_rows - 1)
+        return rows.astype(np.int64) * num_cols + cols.astype(np.int64)
 
     def cell_center(self, cell_id: int) -> Point:
         """Return the centre of the cell with flat id ``cell_id``."""

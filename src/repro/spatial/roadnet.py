@@ -5,7 +5,9 @@ A :class:`RoadNetwork` holds intersection nodes and directed
 else is built on:
 
 * ``position_at(segment, ratio)`` - the planar point of a map-matched
-  point ``(e, r)`` (Definition 5's moving ratio).
+  point ``(e, r)`` (Definition 5's moving ratio); ``positions_at`` is
+  its array form over per-segment start and delta arrays built once
+  per network.
 * ``route_distance(...)`` / ``node_distance(...)`` - shortest-path
   distance along the directed network, the ``rndis`` used by the MAE /
   RMSE metrics (paper Eq. 20).  Single-source Dijkstra results are
@@ -17,6 +19,8 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .geometry import Point, project_onto_segment
 
@@ -83,6 +87,7 @@ class RoadNetwork:
             self._out_edges[seg.start_node].append(seg)
             self._in_edges[seg.end_node].append(seg)
         self._sssp_cache: dict[int, dict[int, float]] = {}
+        self._geometry: tuple[np.ndarray, np.ndarray] | None = None
 
     # ------------------------------------------------------------------
     # basic accessors
@@ -115,6 +120,32 @@ class RoadNetwork:
     def position_at(self, segment_id: int, ratio: float) -> Point:
         """Planar point of the map-matched point ``(e, r)``."""
         return self.segments[segment_id].position_at(ratio)
+
+    def positions_at(self, segment_ids, ratios) -> np.ndarray:
+        """Planar points of many map-matched points, as an ``(N, 2)`` array.
+
+        Row ``i`` is bitwise ``position_at(segment_ids[i], ratios[i])``:
+        the same clamp and the same ``start + r * (end - start)``
+        arithmetic, in float64.
+        """
+        starts, deltas = self._segment_geometry()
+        ids = np.asarray(segment_ids, dtype=np.int64)
+        r = np.asarray(ratios, dtype=np.float64)
+        r = np.where(r > 0.0, r, 0.0)  # max(0.0, r), NaN -> 0.0 included
+        r = np.where(r < 1.0, r, 1.0)  # min(1.0, r)
+        return starts[ids] + r[:, None] * deltas[ids]
+
+    def _segment_geometry(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only ``(S, 2)`` segment starts and ``end - start`` deltas."""
+        if self._geometry is None:
+            starts = np.array([(s.start.x, s.start.y) for s in self.segments],
+                              dtype=np.float64).reshape(-1, 2)
+            ends = np.array([(s.end.x, s.end.y) for s in self.segments],
+                            dtype=np.float64).reshape(-1, 2)
+            deltas = ends - starts
+            starts.flags.writeable = deltas.flags.writeable = False
+            self._geometry = (starts, deltas)
+        return self._geometry
 
     def bounding_box(self) -> tuple[float, float, float, float]:
         """Return ``(min_x, min_y, max_x, max_y)`` over all nodes."""
@@ -206,5 +237,7 @@ class RoadNetwork:
         return distances
 
     def clear_cache(self) -> None:
-        """Drop cached shortest-path results (e.g. after mutation in tests)."""
+        """Drop cached shortest-path results and segment geometry (e.g.
+        after mutation in tests)."""
         self._sssp_cache.clear()
+        self._geometry = None

@@ -51,6 +51,13 @@ sync-vs-isolated parities that only hold for the identity codec —
 carry the ``identity_exchange`` marker and are skipped under forcing;
 everything else must pass with quantisation active.  See
 docs/PERFORMANCE.md.
+
+Hypothesis profile
+------------------
+``HYPOTHESIS_PROFILE=ci`` (set in every CI job) loads the ``ci``
+profile: a failing property prints its ``@reproduce_failure`` blob so
+the failure replays locally, and no example has a deadline.  It changes
+neither the number of examples nor their randomisation.
 """
 
 from __future__ import annotations
@@ -59,12 +66,16 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro import nn
 from repro.core import ConstraintMaskBuilder, RecoveryModelConfig
 from repro.data import TrajectoryDataset, geolife_like
 from repro.data.trajectory import MatchedTrajectory
 from repro.spatial import grid_city
+
+settings.register_profile("ci", print_blob=True, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 _FORCED_DTYPE = os.environ.get("REPRO_COMPUTE_DTYPE")
 if _FORCED_DTYPE:

@@ -58,4 +58,4 @@ class TestRecoverDataset:
     def test_eval_is_deterministic(self, recovery, tiny_dataset):
         a = recovery.recover_dataset(tiny_dataset)
         b = recovery.recover_dataset(tiny_dataset)
-        assert a[0].trajectory.segment_ids() == b[0].trajectory.segment_ids()
+        assert a[0].trajectory.segment_ids.tolist() == b[0].trajectory.segment_ids.tolist()

@@ -76,6 +76,29 @@ class TestRandom:
             kept += len(inc.observed_indices) - 2
         assert abs(kept / total_interior - 0.3) < 0.05
 
+    def test_keeps_an_interior_point_when_possible(self):
+        """At n = 40 and keep 0.02 most draws drop every interior point;
+        one interior index is then drawn instead."""
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            idx = downsample_random(make_traj(40), 0.02, rng).observed_indices
+            assert idx[0] == 0 and idx[-1] == 39
+            assert len(idx) >= 3
+            assert all(0 < i < 39 for i in idx[1:-1])
+
+    def test_extra_draw_only_when_nothing_survives(self):
+        """With an interior survivor the stream is the per-point draws
+        alone; a two-point trajectory draws nothing extra."""
+        a, b = np.random.default_rng(3), np.random.default_rng(3)
+        downsample_random(make_traj(12), 1.0, a)
+        for _ in range(10):
+            b.random()
+        assert a.bit_generator.state == b.bit_generator.state
+        c = np.random.default_rng(4)
+        state = c.bit_generator.state
+        assert downsample_random(make_traj(2), 0.5, c).observed_indices == (0, 1)
+        assert c.bit_generator.state == state
+
     def test_invalid_ratio(self, fresh_rng):
         with pytest.raises(ValueError):
             downsample_random(make_traj(5), 0.0, fresh_rng)

@@ -22,7 +22,7 @@ class TestGeneration:
                                  points_per_trajectory=9)
         a = generate_dataset(config, seed=5)
         b = generate_dataset(config, seed=5)
-        assert a.matched[0].segment_ids() == b.matched[0].segment_ids()
+        assert a.matched[0].segment_ids.tolist() == b.matched[0].segment_ids.tolist()
         assert a.raw[0].points[0].x == b.raw[0].points[0].x
 
     def test_different_seeds_differ(self):

@@ -3,10 +3,12 @@
 ``generate_dataset`` walks on per-network tables with per-driver pick
 memos; :mod:`synthetic_oracle` is the original scalar walker.  Both must
 produce the same ``matched``, ``raw`` and ``drivers`` and leave every
-generator they seed in the same state.  The two NumPy draw identities
+generator they seed in the same state.  The three NumPy draw identities
 the walker relies on are pinned separately, so a NumPy release that
-changes how ``Generator.choice`` or ``Generator.uniform`` draws fails
-here instead of silently changing every world.
+changes how ``Generator.choice``, ``Generator.uniform`` or
+``Generator.normal`` draws fails here instead of silently changing
+every world.  Trajectories are compared column by column, dtype and
+bytes, because an array ``repr`` rounds.
 """
 
 from __future__ import annotations
@@ -43,6 +45,30 @@ def seeded(monkeypatch):
     return made
 
 
+#: Per trajectory type: its scalar fields, then each column with its
+#: dtype and the point field it stores.
+MATCHED = (("traj_id", "driver_id", "epsilon"),
+           (("segment_ids", np.int64, "segment_id"), ("ratios", np.float64, "ratio"),
+            ("times", np.float64, "t"), ("tids", np.int64, "tid")))
+RAW = (("traj_id", "driver_id"),
+       (("x", np.float64, "x"), ("y", np.float64, "y"), ("t", np.float64, "t")))
+
+
+def assert_same_trajectory(ours, theirs, layout):
+    """Scalars by ``repr`` (a Python ``repr`` spells a float exactly);
+    columns by dtype and bytes against the oracle's points, since NumPy's
+    array ``repr`` rounds to 8 significant digits."""
+    scalars, columns = layout
+    assert type(ours) is type(theirs)
+    for name in scalars:
+        assert repr(getattr(ours, name)) == repr(getattr(theirs, name))
+    for name, dtype, point_field in columns:
+        expected = np.array([getattr(p, point_field) for p in theirs.points], dtype=dtype)
+        column = getattr(ours, name)
+        assert column.dtype == dtype
+        assert column.tobytes() == expected.tobytes(), name
+
+
 def assert_matches_oracle(seeded, config, seed, network=None):
     seeded.clear()
     world = generate_dataset(config, seed=seed, network=network)
@@ -51,13 +77,13 @@ def assert_matches_oracle(seeded, config, seed, network=None):
     expected = oracle.generate_dataset(config, seed=seed, network=network)
     expected_states = [rng.bit_generator.state for rng in seeded]
 
-    # ``repr`` spells every float exactly, so equal reprs are equal bits.
     assert repr(world.drivers) == repr(expected.drivers)
     assert len(world.matched) == len(expected.matched)
+    assert len(world.raw) == len(expected.raw)
     for ours, theirs in zip(world.matched, expected.matched):
-        assert repr(ours) == repr(theirs)
+        assert_same_trajectory(ours, theirs, MATCHED)
     for ours, theirs in zip(world.raw, expected.raw):
-        assert repr(ours) == repr(theirs)
+        assert_same_trajectory(ours, theirs, RAW)
     assert states == expected_states
     return world
 
@@ -108,7 +134,7 @@ def test_hand_built_dead_end(seeded):
     # Once on the dead end ``1 -> 2`` a trip never leaves it: each time
     # it reaches node 2 it restarts the same segment from ratio 0.
     dead_end = 2
-    reached = [ids[ids.index(dead_end):] for ids in (traj.segment_ids() for traj in world.matched)
+    reached = [ids[ids.index(dead_end):] for ids in (traj.segment_ids.tolist() for traj in world.matched)
                if dead_end in ids]
     assert max(map(len, reached), default=0) >= 3, "the stall path went untested"
     assert all(set(tail) == {dead_end} for tail in reached)
@@ -137,4 +163,15 @@ def test_scaled_random_is_uniform(lo, hi):
     a, b = np.random.default_rng(99), np.random.default_rng(99)
     for _ in range(2000):
         assert (lo + (hi - lo) * b.random()).hex() == float(a.uniform(lo, hi)).hex()
+    assert a.bit_generator.state == b.bit_generator.state
+
+
+@pytest.mark.parametrize("std", [0.0, 8.0, 12.0, 16.0])
+def test_scaled_standard_normal_is_normal(std):
+    """``0.0 + std * standard_normal(2)`` is ``normal(0.0, std, size=2)``,
+    bit for bit, leaving the generator in the same state."""
+    a, b = np.random.default_rng(7), np.random.default_rng(7)
+    drawn = np.array([a.normal(0.0, std, size=2) for _ in range(2000)])
+    scaled = 0.0 + std * np.array([b.standard_normal(2) for _ in range(2000)])
+    assert drawn.tobytes() == scaled.tobytes()
     assert a.bit_generator.state == b.bit_generator.state

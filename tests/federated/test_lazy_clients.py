@@ -13,7 +13,9 @@ either client model resume bit-identically.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import multiprocessing as mp
+import weakref
 
 import numpy as np
 import pytest
@@ -181,6 +183,21 @@ class TestArenaHygiene:
         clients owning private models."""
         assert_matches_live_oracle(federation, mask, tiny_config, rounds=3,
                                    arena_size=1)
+
+    def test_finished_trainer_is_freed_by_refcount(self, federation, mask,
+                                                   tiny_config):
+        """Nothing cycles back to the trainer (``clients`` is a view built
+        per access), so dropping a run frees its whole federation at once
+        instead of at the next full garbage collection."""
+        gc.disable()
+        try:
+            trainer, result = run_arena(federation, mask, tiny_config)
+            assert len(result.clients) == len(trainer.shards)
+            ref = weakref.ref(trainer)
+            del trainer, result
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_materialised_view_is_isolated(self, federation, mask,
                                            tiny_config):

@@ -145,3 +145,22 @@ def test_one_query_per_trajectory_matches_per_point_path(noisy_world):
         calls = counting.calls
         assert batched.match(raw) == per_point.match(raw)
         assert counting.calls == calls + 1
+
+
+def test_match_columns_equal_the_per_point_construction(noisy_world):
+    """The matched columns hold, bit for bit, what the per-point loop
+    built: the Viterbi path's segments and ratios, the raw times, and
+    ``floor((t - t0) / epsilon + 0.5)`` per point."""
+    import math
+
+    matcher = HMMMapMatcher(noisy_world.network)
+    for raw in noisy_world.raw:
+        matched = matcher.match(raw)
+        points = [p.as_point() for p in raw.points]
+        chosen = matcher._viterbi(points, matcher._candidate_layers(points))
+        t0, epsilon = raw.points[0].t, matched.epsilon
+        assert epsilon == float(np.median(np.diff([p.t for p in raw.points])))
+        expected = [(c.segment_id, c.ratio, p.t, int(math.floor((p.t - t0) / epsilon + 0.5)))
+                    for c, p in zip(chosen, raw.points)]
+        assert [(p.segment_id, p.ratio, p.t, p.tid) for p in matched.points] == expected
+        assert [repr(p.ratio) for p in matched.points] == [repr(e[1]) for e in expected]
